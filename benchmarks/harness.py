@@ -30,8 +30,7 @@ BENCH_FULL = os.environ.get("REPRO_BENCH_FULL", "0") == "1"
 #: smallest, a mid-size, and the densest (leon2).
 QUICK_DESIGNS = ["vga_lcdv2", "combo4v2", "leon2"]
 
-TIMER_NAMES = ["ours", "ours-scalar", "ours-array", "ours-batched",
-               "ours-nobatch", "ours-mt",
+TIMER_NAMES = ["ours", "ours-scalar", "ours-array", "ours-mt",
                "pair_enum", "block_based", "branch_bound"]
 
 
@@ -52,16 +51,7 @@ def make_timer(name: str, analyzer: TimingAnalyzer, workers: int = 8):
     if name == "ours-scalar":
         return CpprEngine(analyzer, CpprOptions(backend="scalar"))
     if name == "ours-array":
-        # Pinned to per-level sweeps so BENCH_backend keeps measuring
-        # the PR 2 array substrate, not the batched path on top of it.
-        return CpprEngine(analyzer, CpprOptions(backend="array",
-                                                batch_levels="off"))
-    if name == "ours-batched":
-        return CpprEngine(analyzer, CpprOptions(backend="array",
-                                                batch_levels="on"))
-    if name == "ours-nobatch":
-        return CpprEngine(analyzer, CpprOptions(backend="array",
-                                                batch_levels="off"))
+        return CpprEngine(analyzer, CpprOptions(backend="array"))
     if name == "ours-raw":
         # Resilience disabled (no retries => the scheduler's bare-loop
         # fast path): the pre-fault-tolerance dispatch, kept as the
@@ -192,23 +182,16 @@ def per_pass_seconds(profile: Profile) -> dict[str, float]:
     return passes
 
 
-def level_propagate_seconds(profile: Profile) -> float:
-    """Total forward-propagation seconds inside the ``level[d]`` passes.
+def propagate_seconds(profile: Profile) -> float:
+    """Total forward-propagation seconds of one query, on either backend.
 
-    Sums the ``propagate`` child of each per-level span — or, on a
-    batched run, the (tiny) ``propagate.slice`` that materializes the
-    level's slice of the shared sweep.  The batched sweep itself is a
-    separate top-level phase; read it with
-    ``profile.span_seconds("propagate.batched")``.
+    Sums the ``propagate`` spans (the scalar level passes and every
+    single-tuple pass), the array backend's batched sweep
+    (``propagate.batched``) and the per-level slices it serves
+    (``propagate.slice``).
     """
-    total = 0.0
-    for node in profile.iter_spans():
-        if not node.name.startswith("level["):
-            continue
-        for child in node.children:
-            if child.name in ("propagate", "propagate.slice"):
-                total += child.seconds
-    return total
+    return sum(profile.span_seconds(name) for name in
+               ("propagate", "propagate.slice", "propagate.batched"))
 
 
 def write_bench_profile(path: str | Path, payload: dict) -> None:

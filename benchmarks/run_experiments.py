@@ -8,15 +8,15 @@ Usage::
     python benchmarks/run_experiments.py fig5 --scale 0.5
 
 Subcommands: ``table3``, ``table4``, ``fig5``, ``fig6``, ``ablation``,
-``backend``, ``batched``, ``incremental``, ``faults``, ``parallel``,
-``corners``, ``profile``, ``obs``, ``all`` — several may be given at once
-(``backend batched``).  Results
+``backend``, ``incremental``, ``faults``, ``parallel``, ``corners``,
+``profile``, ``obs``, ``all`` — several may be given at once
+(``backend faults``).  Results
 are printed as markdown and also written under ``benchmarks/results/``;
 ``profile`` additionally writes the machine-readable
 ``benchmarks/results/BENCH_profile.json`` (per-pass wall time +
-counters per design), ``backend`` writes ``BENCH_backend.json``,
-``batched`` writes ``BENCH_batched.json`` (including the
-report-identity check), ``incremental`` writes
+counters per design), ``backend`` writes ``BENCH_backend.json``
+(including the scalar-vs-array report-identity check),
+``incremental`` writes
 ``BENCH_incremental.json`` (warm ECO sessions vs from-scratch rebuilds
 on leon2 — hard-fails unless sessions are >= 3x faster at <= 1% dirty
 with bit-identical reports), ``faults`` writes ``BENCH_faults.json``
@@ -51,8 +51,8 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from harness import (get_analyzer, level_propagate_seconds,  # noqa: E402
-                     make_timer, per_pass_seconds, profiled_run,
+from harness import (get_analyzer, make_timer,  # noqa: E402
+                     per_pass_seconds, profiled_run, propagate_seconds,
                      run_both_modes, write_bench_profile)
 
 from repro import CpprEngine, CpprOptions, PairEnumTimer  # noqa: E402
@@ -281,6 +281,11 @@ def run_ablation(args) -> None:
 # ----------------------------------------------------------------------
 # Backend dimension: scalar reference vs numpy array substrate
 # ----------------------------------------------------------------------
+def _path_fingerprint(paths) -> list[tuple]:
+    return [(p.slack, tuple(p.pins), p.launch_ff, p.capture_ff,
+             p.credit, p.family.name, p.level) for p in paths]
+
+
 def run_backend(args) -> None:
     k = max(args.k_values)
     payload = {
@@ -299,6 +304,7 @@ def run_backend(args) -> None:
     for design in args.designs:
         analyzer = get_analyzer(design, args.scale)
         per_backend = {}
+        fingerprints = {}
         for backend in ("scalar", "array"):
             engine = make_timer(f"ours-{backend}", analyzer)
             engine.top_slacks(1, "setup")  # warm lazy caches (CSR etc.)
@@ -308,9 +314,18 @@ def run_backend(args) -> None:
             _traced_seconds, profile = profiled_run(engine, k, "setup")
             per_backend[backend] = {
                 "seconds": seconds,
-                "propagate_seconds": profile.span_seconds("propagate"),
+                "propagate_seconds": propagate_seconds(profile),
                 "counters": profile.counters,
             }
+            engine.clear_cache()
+            fingerprints[backend] = {
+                mode: _path_fingerprint(engine.top_paths(k, mode))
+                for mode in ("setup", "hold")
+            }
+        if fingerprints["scalar"] != fingerprints["array"]:
+            raise SystemExit(
+                f"[backend] MISMATCH on {design}: array top-{k} reports "
+                f"differ from the scalar reference")
         scalar, array = per_backend["scalar"], per_backend["array"]
         speedup = scalar["seconds"] / array["seconds"]
         prop_speedup = (scalar["propagate_seconds"]
@@ -318,6 +333,7 @@ def run_backend(args) -> None:
         payload["designs"][design] = {
             "scalar": scalar, "array": array,
             "speedup": speedup, "propagate_speedup": prop_speedup,
+            "reports_identical": True,
         }
         lines.append(
             f"| {design} | {scalar['seconds']:.3f} | "
@@ -331,93 +347,6 @@ def run_backend(args) -> None:
     print(f"[backend] wrote {RESULTS_DIR / 'BENCH_backend.json'}",
           file=sys.stderr)
     _emit(lines, "backend.md")
-
-
-# ----------------------------------------------------------------------
-# Level batching: one (D x n) sweep vs D per-level array sweeps
-# ----------------------------------------------------------------------
-def _path_fingerprint(paths) -> list[tuple]:
-    return [(p.slack, tuple(p.pins), p.launch_ff, p.capture_ff,
-             p.credit, p.family.name, p.level) for p in paths]
-
-
-def run_batched(args) -> None:
-    k = max(args.k_values)
-    repeats = 5
-    payload = {
-        "schema": "repro.bench/batched@1",
-        "scale": args.scale,
-        "k": k,
-        "mode": "setup",
-        "designs": {},
-    }
-    lines = [f"# Batched — one (D x n) sweep vs D per-level array "
-             f"sweeps, k={k}, setup analysis, serial executor", "",
-             "| Benchmark | nobatch RT(s) | batched RT(s) | speedup | "
-             "per-level propagate(s) | batched propagate(s) | "
-             "propagate speedup | reports |",
-             "|---|---:|---:|---:|---:|---:|---:|---|"]
-    for design in args.designs:
-        analyzer = get_analyzer(design, args.scale)
-        per = {}
-        fingerprints = {}
-        for variant in ("nobatch", "batched"):
-            engine = make_timer(f"ours-{variant}", analyzer)
-            engine.top_slacks(1, "setup")  # warm lazy caches (CSR etc.)
-            seconds, _ = _measure(
-                lambda e=engine: e.top_slacks(k, "setup"),
-                with_memory=False, timer=engine, repeat=3)
-            # Propagation wall time from the best of a few profiled
-            # runs (single-shot span timings are noisy at this scale).
-            best = None
-            for _ in range(repeats):
-                _t, profile = profiled_run(engine, k, "setup")
-                prop = (level_propagate_seconds(profile)
-                        + profile.span_seconds("propagate.batched"))
-                if best is None or prop < best[0]:
-                    best = (prop, profile)
-            prop_seconds, profile = best
-            per[variant] = {
-                "seconds": seconds,
-                "propagate_seconds": prop_seconds,
-                "level_propagate_seconds":
-                    level_propagate_seconds(profile),
-                "batched_propagate_seconds":
-                    profile.span_seconds("propagate.batched"),
-                "counters": profile.counters,
-            }
-            engine.clear_cache()
-            fingerprints[variant] = {
-                mode: _path_fingerprint(engine.top_paths(k, mode))
-                for mode in ("setup", "hold")
-            }
-        identical = fingerprints["nobatch"] == fingerprints["batched"]
-        if not identical:
-            raise SystemExit(
-                f"[batched] MISMATCH on {design}: batched top-{k} "
-                f"reports differ from the per-level array sweep")
-        nobatch, batched = per["nobatch"], per["batched"]
-        speedup = nobatch["seconds"] / batched["seconds"]
-        prop_speedup = (nobatch["propagate_seconds"]
-                        / batched["propagate_seconds"])
-        payload["designs"][design] = {
-            "nobatch": nobatch, "batched": batched,
-            "speedup": speedup, "propagate_speedup": prop_speedup,
-            "reports_identical": True,
-        }
-        lines.append(
-            f"| {design} | {nobatch['seconds']:.3f} | "
-            f"{batched['seconds']:.3f} | {speedup:.2f}x | "
-            f"{nobatch['propagate_seconds']:.3f} | "
-            f"{batched['propagate_seconds']:.3f} | "
-            f"{prop_speedup:.2f}x | identical |")
-        print(f"[batched] {design} done ({speedup:.2f}x overall, "
-              f"{prop_speedup:.2f}x propagate)", file=sys.stderr)
-    RESULTS_DIR.mkdir(exist_ok=True)
-    write_bench_profile(RESULTS_DIR / "BENCH_batched.json", payload)
-    print(f"[batched] wrote {RESULTS_DIR / 'BENCH_batched.json'}",
-          file=sys.stderr)
-    _emit(lines, "batched.md")
 
 
 # ----------------------------------------------------------------------
@@ -474,16 +403,22 @@ def run_faults(args) -> None:
                 f"scheduler changed the top-{k} reports")
         # Chaos identity: a run that actually recovers from injected
         # faults must still reproduce the raw report exactly.
+        # The faults fire in whichever query reaches them first, so the
+        # degradation events are counted over both queries.
         chaos_engine = make_timer("ours", analyzer)
+        chaos, chaos_events = {}, 0
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", DegradedResultWarning)
             with faults.inject("task.exception:times=1",
                                "memory.pressure:times=1,after=1"):
-                chaos = {
-                    mode: _path_fingerprint(
+                for mode in ("setup", "hold"):
+                    chaos[mode] = _path_fingerprint(
                         chaos_engine.top_paths(k, mode))
-                    for mode in ("setup", "hold")
-                }
+                    chaos_events += len(chaos_engine.last_degraded)
+        if chaos_events == 0:
+            raise SystemExit(
+                f"[faults] NO FAULT FIRED on {design}: the chaos run "
+                f"recorded no degradation event")
         if chaos != fingerprints["raw"]:
             raise SystemExit(
                 f"[faults] MISMATCH on {design}: recovery from "
@@ -495,7 +430,7 @@ def run_faults(args) -> None:
             "overhead_pct": overhead_pct,
             "reports_identical": True,
             "chaos_reports_identical": True,
-            "chaos_events": len(chaos_engine.last_degraded),
+            "chaos_events": chaos_events,
         }
         lines.append(
             f"| {design} | {per['raw']:.3f} | {per['resilient']:.3f} | "
@@ -681,7 +616,7 @@ def run_parallel(args) -> None:
     """Shared-memory process sharding: scaling and the identity matrix.
 
     Two gates on leon2.  First, every executor x substrate combination
-    (serial/thread/process x scalar/array/batched) must reproduce the
+    (serial/thread/process x scalar/array) must reproduce the
     first combination's top-k reports bit for bit — the memory plane's
     descriptor path may never change an answer.  Second, the process
     pool at 1-4 workers is timed against the serial baseline; on a
@@ -720,8 +655,7 @@ def run_parallel(args) -> None:
 
     configs = {
         "scalar": {"backend": "scalar"},
-        "array": {"backend": "array", "batch_levels": "off"},
-        "batched": {"backend": "array", "batch_levels": "on"},
+        "array": {"backend": "array"},
     }
     executors = [name for name in ("serial", "thread", "process")
                  if name in available_executors()]
@@ -1371,7 +1305,7 @@ def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("what", nargs="+",
                         choices=["table3", "table4", "fig5", "fig6",
-                                 "ablation", "backend", "batched",
+                                 "ablation", "backend",
                                  "incremental", "faults", "parallel",
                                  "corners", "profile", "obs", "server",
                                  "ingest", "all"])
@@ -1403,7 +1337,7 @@ def main(argv=None) -> None:
 
     steps = {"table3": run_table3, "table4": run_table4, "fig5": run_fig5,
              "fig6": run_fig6, "ablation": run_ablation,
-             "backend": run_backend, "batched": run_batched,
+             "backend": run_backend,
              "incremental": run_incremental,
              "faults": run_faults, "parallel": run_parallel,
              "corners": run_corners,

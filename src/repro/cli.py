@@ -66,12 +66,10 @@ _TIMERS = {
 
 
 def _make_timer(name: str, analyzer, backend: str,
-                batch_levels: str = "auto",
                 resilience: dict | None = None):
     """One timer instance, passing the backend to those that take it."""
     if name == "ours":
         return CpprEngine(analyzer, CpprOptions(backend=backend,
-                                                batch_levels=batch_levels,
                                                 **(resilience or {})))
     if name == "pair":
         return PairEnumTimer(analyzer, backend=backend)
@@ -288,8 +286,7 @@ def _cmd_report(args) -> int:
                      f"{args.endpoint}{eco_suffix}")
         else:
             engine = CpprEngine(analyzer, CpprOptions(
-                backend=args.backend, batch_levels=args.batch_levels,
-                corners=corner_set,
+                backend=args.backend, corners=corner_set,
                 **_resilience_from_args(args)))
             meta_engine = engine
             if corner_set is not None:
@@ -368,8 +365,7 @@ def _cmd_eco(args) -> int:
         raise ReproError(f"{args.updates}: no delay or clock edits")
     analyzer = TimingAnalyzer(graph, constraints)
     engine = CpprEngine(analyzer, CpprOptions(
-        backend=args.backend, batch_levels=args.batch_levels,
-        corners=corner_set,
+        backend=args.backend, corners=corner_set,
         **_resilience_from_args(args)))
     session = engine.session()
 
@@ -492,7 +488,6 @@ def _cmd_compare(args) -> int:
                 f"unknown timer {name!r}; choose from "
                 f"{sorted(_TIMERS)}")
         timer = _make_timer(name, analyzer, args.backend,
-                            args.batch_levels,
                             resilience=_resilience_from_args(args))
         if profiling:
             with collecting() as col:
@@ -561,7 +556,6 @@ def _cmd_serve(args) -> int:
         token = service.add_design(
             graph, constraints,
             CpprOptions(backend=args.backend,
-                        batch_levels=args.batch_levels,
                         executor=args.executor, workers=args.workers,
                         corners=corners,
                         **_resilience_from_args(args)),
@@ -625,12 +619,6 @@ def build_parser() -> argparse.ArgumentParser:
                         default="auto",
                         help="compute substrate: scalar reference or "
                              "numpy arrays (default auto)")
-    report.add_argument("--batch-levels",
-                        choices=["auto", "on", "off"],
-                        default="auto",
-                        help="run all per-level propagations as one "
-                             "(D x n) batched sweep (array backend "
-                             "only; default auto)")
     _add_corner_arguments(report)
     _add_trace_arguments(report)
     _add_resilience_arguments(report)
@@ -650,9 +638,6 @@ def build_parser() -> argparse.ArgumentParser:
     eco.add_argument("--backend", choices=["auto", "scalar", "array"],
                      default="auto",
                      help="compute substrate (default auto)")
-    eco.add_argument("--batch-levels", choices=["auto", "on", "off"],
-                     default="auto",
-                     help="level-batched propagation (default auto)")
     _add_corner_arguments(eco)
     _add_trace_arguments(eco)
     _add_resilience_arguments(eco)
@@ -706,11 +691,6 @@ def build_parser() -> argparse.ArgumentParser:
                          default="auto",
                          help="compute substrate for timers that "
                               "support it (default auto)")
-    compare.add_argument("--batch-levels",
-                         choices=["auto", "on", "off"],
-                         default="auto",
-                         help="level-batched propagation for the "
-                              "'ours' engine (default auto)")
     _add_resilience_arguments(compare)
     compare.set_defaults(func=_cmd_compare)
 
@@ -794,9 +774,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--backend", choices=["auto", "scalar", "array"],
                        default="auto",
                        help="compute substrate (default auto)")
-    serve.add_argument("--batch-levels", choices=["auto", "on", "off"],
-                       default="auto",
-                       help="batched per-level sweeps (default auto)")
     _add_corner_arguments(serve)
     _add_trace_arguments(serve)
     _add_resilience_arguments(serve)

@@ -8,17 +8,16 @@ instead of per-pin Python objects.  This package provides it:
   arrays and per-source-level edge buckets, built once from a
   :class:`~repro.circuit.graph.TimingGraph` and cached on it
   (:func:`~repro.core.arrays.get_core`).
-* :mod:`repro.core.propagate` — the ``backend="array"`` implementations
-  of the dual/single arrival propagation (level-wise scatter relaxation
-  that also recovers argmin ``from``-pointers and carries group ids, so
-  the Table II dual-tuple semantics survive vectorization).
+* :mod:`repro.core.propagate` — the ``backend="array"`` single-tuple
+  arrival propagation (level-wise scatter relaxation that also recovers
+  argmin ``from``-pointers) and the precomputed deviation-cost columns.
 * :mod:`repro.core.grouping` — vectorized ``f_{d+1}``/credit lookups
   for the per-level node grouping, including the one-shot ``(D, n_ff)``
   grouping matrix.
-* :mod:`repro.core.batched` — the level-batched grouped propagation:
-  all ``D`` per-level forward passes as one sweep over ``(D, n_pins)``
-  dual-tuple state (``CpprOptions.batch_levels``, gated by
-  :func:`resolve_batch_levels`).
+* :mod:`repro.core.batched` — the array backend's grouped propagation:
+  all ``D`` per-level forward passes as one sweep over ``(2D, n_pins)``
+  dual-tuple state, carrying group ids so the Table II dual-tuple
+  semantics survive vectorization.
 
 ``numpy`` is an *optional* dependency (the ``fast`` extra).  This module
 is importable without it; only the gate helpers live here so that
@@ -46,23 +45,20 @@ try:
 except Exception:  # pragma: no cover - exercised by the no-numpy CI job
     HAVE_NUMPY = False
 
-__all__ = ["BACKENDS", "BATCH_LEVELS", "HAVE_NUMPY", "resolve_backend",
-           "resolve_batch_levels", "require_numpy", "safer_backend"]
+__all__ = ["BACKENDS", "HAVE_NUMPY", "resolve_backend", "require_numpy",
+           "safer_backend"]
 
 #: The values accepted by ``CpprOptions.backend`` and the CLI flag.
 BACKENDS = ("auto", "scalar", "array")
 
-#: The values accepted by ``CpprOptions.batch_levels`` and the CLI flag.
-BATCH_LEVELS = ("auto", "on", "off")
 
-
-def require_numpy(context: str = "the array backend") -> None:
+def require_numpy() -> None:
     """Raise ``ImportError`` with install guidance when numpy is absent."""
     if not HAVE_NUMPY:
         raise ImportError(
-            f"{context} requires numpy, which is not installed; "
-            f"install it with `pip install repro[fast]` (or plain "
-            f"`pip install numpy`), or use backend='scalar'")
+            "the array backend requires numpy, which is not installed; "
+            "install it with `pip install repro[fast]` (or plain "
+            "`pip install numpy`), or use backend='scalar'")
 
 
 def resolve_backend(backend: str) -> str:
@@ -91,9 +87,9 @@ def safer_backend(backend: str) -> str | None:
 
     ``"array" -> "scalar"`` (the dependency-free reference that computes
     bit-for-bit the same reports), ``"scalar" -> None`` (there is no
-    safer substrate).  The engine walks this ladder when an array or
-    batched pass dies at runtime — a numpy import vanishing inside a
-    worker, an allocation failure mid-sweep — so a query degrades to a
+    safer substrate).  The engine walks this ladder when an array pass
+    dies at runtime — a numpy import vanishing inside a worker, an
+    allocation failure mid-sweep — so a query degrades to a
     slower-but-identical answer instead of failing.
     """
     if backend == "array":
@@ -103,30 +99,3 @@ def safer_backend(backend: str) -> str | None:
     raise ValueError(
         f"unknown concrete backend {backend!r}; expected 'scalar' or "
         f"'array'")
-
-
-def resolve_batch_levels(batch_levels: str, backend: str) -> bool:
-    """Decide whether the per-level passes share one batched sweep.
-
-    ``backend`` must already be concrete (``"scalar"``/``"array"``, the
-    output of :func:`resolve_backend`).  ``"auto"`` turns batching on
-    exactly when the array backend is in use; ``"off"`` never batches;
-    ``"on"`` demands it — raising ``ImportError`` (the same
-    ``repro[fast]`` guidance as ``backend="array"``) when numpy is
-    missing, and ``ValueError`` when combined with an explicit scalar
-    backend, whose whole point is to avoid the array substrate.
-    """
-    if batch_levels not in BATCH_LEVELS:
-        raise ValueError(
-            f"unknown batch_levels {batch_levels!r}; expected one of "
-            f"{BATCH_LEVELS}")
-    if batch_levels == "off":
-        return False
-    if batch_levels == "on":
-        require_numpy("batch_levels='on'")
-        if backend == "scalar":
-            raise ValueError(
-                "batch_levels='on' requires the array backend; "
-                "got backend='scalar'")
-        return True
-    return backend == "array"

@@ -24,14 +24,13 @@ Layout recap (unchanged from the single-object days):
 * the **edge table** ``edge_src/edge_dst/edge_early/edge_late`` sorted
   by ``(level_of[src], dst, src, early, late)`` with ``level_ptr``
   offsets — the per-level buckets consumed by the forward passes
-  (:mod:`repro.core.propagate` and
+  (:mod:`repro.core.propagate`, :mod:`repro.core.batched` and
   :func:`repro.sta.vectorized.propagate_arrivals_vectorized`).
   Sorting each level by destination groups every target pin's incoming
   edges into one contiguous *segment*, so a level relaxation is a
   handful of ``ufunc.reduceat`` segment reductions instead of a runtime
   sort.  :class:`LevelBucket` precomputes the segment geometry
-  (``estarts``/``eseg``/``seg_dst`` plus the pair-expanded
-  ``cstarts``/``cseg``/``cand_src`` used by the dual two-tuple pass).
+  (``estarts``/``eseg``/``seg_dst``).
 * the **fanin CSR** ``fanin_ptr/fanin_src/fanin_early/fanin_late``
   sorted by ``(dst, src, early, late)`` — consumed by the deviation
   search, which walks backward.  ``fanin_dst`` is the expanded per-edge
@@ -77,19 +76,14 @@ class LevelBucket:
     The edge table is sorted so each destination's fanin inside a level
     is contiguous; ``estarts[s]`` is the first edge of segment ``s``,
     ``seg_dst[s]`` its destination pin (unique within the level), and
-    ``eseg[i]`` the segment of edge ``i``.  The ``c``-prefixed arrays
-    are the same geometry expanded 2x for the dual pass, where every
-    edge contributes two candidate slots (the source's best tuple and
-    its different-group fallback): slots ``2i`` and ``2i + 1`` belong
-    to edge ``i``, and ``cand_src`` repeats each source pin twice.
+    ``eseg[i]`` the segment of edge ``i``.
 
     ``early``/``late`` are *views* into the owning
     :class:`CoreValues` columns, so in-place value updates are visible
     here without rebuilding the bucket.
     """
 
-    __slots__ = ("src", "early", "late", "seg_dst", "estarts", "eseg",
-                 "cstarts", "cseg", "cand_src")
+    __slots__ = ("src", "early", "late", "seg_dst", "estarts", "eseg")
 
     def __init__(self, src: np.ndarray, dst: np.ndarray,
                  early: np.ndarray, late: np.ndarray) -> None:
@@ -101,9 +95,6 @@ class LevelBucket:
         self.estarts = starts
         counts = np.diff(np.r_[starts, len(dst)])
         self.eseg = np.repeat(np.arange(len(starts)), counts)
-        self.cstarts = starts * 2
-        self.cseg = np.repeat(self.eseg, 2)
-        self.cand_src = np.repeat(src, 2)
 
     @classmethod
     def _from_geometry(cls, geom: "LevelBucket", early: np.ndarray,
@@ -121,9 +112,6 @@ class LevelBucket:
         bucket.seg_dst = geom.seg_dst
         bucket.estarts = geom.estarts
         bucket.eseg = geom.eseg
-        bucket.cstarts = geom.cstarts
-        bucket.cseg = geom.cseg
-        bucket.cand_src = geom.cand_src
         return bucket
 
 

@@ -25,42 +25,46 @@ destinations provably still hold their initial empty state (a static
 scan over the bucket order, also in ``_bucket_pads``) skip the merge
 tournament entirely and scatter the batch summary directly.
 
-Because the batch axis multiplies every per-element cost by ``D``, this
-sweep also trims the per-element work the 1-D pass can afford to waste:
+Because the batch axis multiplies every per-element cost by ``D``, the
+sweep keeps the per-element work small:
 
-* no pair expansion — instead of interleaving each edge's two candidate
-  slots into a ``(D, 2m)`` matrix, the best-tuple and fallback-tuple
-  halves are reduced separately over the edge-granularity segments
-  (``estarts``/``eseg``) and merged per segment.  The interleaved
-  "earliest slot achieving the extremum" tie-break is recovered
-  exactly: the earlier edge wins, and on an equal-edge tie the
-  pre-swap rule degenerates to the smaller group (both slots of one
-  edge share a from-pin, and a best/fallback time tie makes the swap
-  predicate a pure group comparison) — see ``_first_at``;
+* no pair expansion — each edge offers two candidate slots (its
+  source's best and fallback tuple).  Instead of interleaving them into
+  a ``(D, 2m)`` matrix, the best-tuple and fallback-tuple halves are
+  reduced separately over the edge-granularity segments
+  (``estarts``/``eseg``) and merged per segment.  The contract's winner
+  is recovered exactly: the earlier edge wins (edges ascend by
+  from-pin), and on an equal-edge tie the smaller group wins (both
+  slots of one edge share a from-pin, so a best/fallback time tie
+  leaves only the group to compare) — see ``_first_at``;
 * ``int32`` from-pin/group state — pin and group ids are well inside
   32 bits, so four of the six state matrices (and all slot-index
   scratch) carry half the memory traffic.  Converting a row with
-  ``tolist`` yields the same Python ints as the 1-D pass's ``int64``;
+  ``tolist`` yields the same Python ints the scalar reference holds;
 * the per-FF seed columns are built once and cached on the graph.
 
-Bit-for-bit equivalence with the per-level sweeps (and hence with the
-scalar reference) holds because every row of the batched state sees the
-exact same IEEE-754 operation sequence as a standalone level-``d`` pass:
+Bit-for-bit equivalence with the scalar reference
+(:func:`repro.cppr.propagation.propagate_dual`, one standalone pass per
+level ``d``) holds because every row of the batched state computes
+exactly what that pass computes:
 
 * seeds — ``(clock arrival + clk-to-q) ∓ launch offset`` with the same
   association, assigned directly (Q pins are distinct per flip-flop, so
   no seed merge is needed);
-* relaxation — the same candidate times over the same pre-sorted
-  :class:`~repro.core.arrays.LevelBucket` geometry; ``max``/``min``
-  segment reductions are exact, and the two-half argmin merge recovers
-  the same (time, from-pin, group) tie-break winner as the interleaved
-  argmin (see above);
-* the element-wise dual-state combine processes every segment with a
-  validity guard instead of filtering active segments per row (activity
-  differs across rows); invalid batches provably leave the row's state
-  untouched;
-* deviation costs — the same three-operation column formula, evaluated
-  once as a ``(D, m)`` matrix.
+* relaxation — level order is topological order and the tuple state is
+  order-independent (see :mod:`repro.core.propagate`), so relaxing a
+  whole :class:`~repro.core.arrays.LevelBucket` at once lands where the
+  scalar per-offer rule does.  Candidate times are the same two-operand
+  ``t + delay``; ``max``/``min`` segment reductions are exact, and the
+  two-half argmin merge recovers the (time, from-pin, group) tie-break
+  winner (see above);
+* the element-wise dual-state combine (``_combine_dual_batched``)
+  processes every segment with a validity guard instead of filtering
+  active segments per row (activity differs across rows); invalid
+  batches provably leave the row's state untouched;
+* deviation costs — the three-operation column formula of
+  :class:`~repro.core.propagate.FastDeviation`, evaluated once as a
+  ``(D, m)`` matrix.
 
 The result object serves each level's slice back as the ordinary
 :class:`~repro.cppr.propagation.DualArrivalArrays` /
@@ -132,7 +136,7 @@ class BatchedLevels:
 
     ``time0 .. group1`` are the ``(D, n_pins)`` dual-tuple matrices,
     ``cost0`` the ``(D, m_fanin)`` deviation-cost matrix; row ``d`` is
-    exactly what a standalone level-``d`` array pass would produce.
+    exactly what a standalone scalar level-``d`` pass would produce.
     :meth:`arrays` materializes one row as the
     :class:`~repro.cppr.propagation.DualArrivalArrays` the deviation
     search consumes: the hot primary/cost columns as plain lists, the
@@ -197,16 +201,22 @@ class BatchedLevels:
 
 def _combine_dual_batched(state, levels, empty, is_setup, upd,
                           b0t, b0f, b0g, b1t, b1f, b1g, virgin):
-    """2-D variant of :func:`repro.core.propagate._combine_dual`.
+    """Merge one bucket's per-segment batch summary into the state.
+
+    The union of two ``(best, fallback)`` summaries is again summarized
+    by its lexicographic best plus the most pessimistic of the three
+    remaining tuples whose group differs from the new best's — every
+    discarded candidate is dominated by one of them: candidates sharing
+    the losing best's group by that best, all others by that side's
+    fallback.
 
     ``state`` is the stacked ``(timeS, fromS, groupS)`` matrices —
     rows ``0..D-1`` the best tuple, rows ``D..2D-1`` the fallback —
     so each current-state gather is one numpy call for both halves.
     ``upd`` holds the bucket's distinct destination pins (columns);
-    the batch summaries are ``(D, len(upd))``.  Unlike the 1-D pass —
-    which filters inactive segments before combining — activity here
-    differs per row, so every segment is processed and a per-element
-    ``bvalid`` guard masks segments whose batch is empty for that row:
+    the batch summaries are ``(D, len(upd))``.  Activity differs per
+    row, so every segment is processed and a per-element ``bvalid``
+    guard masks segments whose batch is empty for that row:
     with ``bvalid`` false the best keeps the current tuple, the losing
     "best" entering the fallback tournament is the empty batch best
     (never valid), and the row's own fallback wins its slot back, so
@@ -411,9 +421,10 @@ def _sweep(graph: TimingGraph, core, state, levels, empty, is_setup,
         if len(b.seg_dst) == m:
             # Every destination has exactly one edge in this
             # bucket, so the segment extremum degenerates to
-            # the edge's two-slot tournament — the pre-swap
-            # rule of the 1-D pass, applied element-wise
-            # with no reductions or argmin recovery at all.
+            # the edge's two-slot tournament (pessimistic
+            # time first, then smaller group), applied
+            # element-wise with no reductions or argmin
+            # recovery at all.
             if not has_b:
                 if not (ta != empty).any():
                     continue
@@ -605,8 +616,7 @@ def propagate_dual_batched(graph: TimingGraph,
             part = gm >= 0
             rows, cols = np.nonzero(part)
             # Q pins are distinct per flip-flop, so seeding is a plain
-            # scatter — no per-pin merge like the irregular seed batches
-            # of the single-level pass.
+            # scatter — no per-pin merge.
             time0[rows, q_pin[cols]] = q_time[rows, cols]
             from0[rows, q_pin[cols]] = ck_pin[cols]
             group0[rows, q_pin[cols]] = gm[rows, cols]

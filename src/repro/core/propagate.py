@@ -1,25 +1,33 @@
-"""``backend="array"`` forward propagation (numpy level-wise relaxation).
+"""``backend="array"`` building blocks shared by the numpy passes.
 
-Computes exactly what the scalar loops in :mod:`repro.cppr.propagation`
-compute — the dual tuples of Table II (``propagate_dual_array``) and the
-single-tuple ungrouped pass (``propagate_single_array``) — but one
-source level at a time with bulk array operations instead of a per-edge
-interpreter loop.
+* :func:`propagate_single_array` — the ungrouped single-tuple pass of
+  Algorithms 3 and 4 (self-loop and primary-input candidates).  It
+  computes exactly what the scalar loop in
+  :mod:`repro.cppr.propagation` computes, but one source level at a
+  time with bulk array operations instead of a per-edge interpreter
+  loop.
+* :class:`FastDeviation` — the deviation-cost column for the graph's
+  fanin CSR, precomputed in one vectorized pass over all edges, which
+  the top-k search in :mod:`repro.cppr.deviation` consumes in place of
+  per-edge ``auto()`` queries.
+* ``_beats`` / ``_lex_beats`` — the element-wise tie-break comparisons
+  the grouped dual-tuple pass shares.  That pass lives in
+  :mod:`repro.core.batched`, which relaxes all ``D`` levels in one
+  sweep.
 
-Correctness rests on two facts:
+Correctness of the level-wise relaxation rests on two facts:
 
 1. **Level order is topological order.**  Every data edge goes from a
    lower to a strictly higher longest-path level, so when the level-``L``
    edge bucket is relaxed, every level-``<= L`` pin (every possible
    source) is final.
-2. **The two-tuple state is order-independent.**  After any candidate
-   set has been offered to a pin, ``best`` is the lexicographically most
-   pessimistic candidate and ``fallback`` the most pessimistic whose
-   group differs from ``best``'s (see
+2. **The tuple state is order-independent.**  After any candidate set
+   has been offered to a pin, its tuple is the lexicographically most
+   pessimistic candidate (for the grouped pass, ``best`` plus the most
+   pessimistic ``fallback`` whose group differs from ``best``'s — see
    :class:`repro.cppr.tuples.DualArrival`).  A batch that merges the
-   pin's current tuples with all of a level's offers and recomputes both
-   from scratch therefore lands in exactly the state the scalar
-   incremental rule reaches.
+   pin's current state with all of a level's offers therefore lands in
+   exactly the state the scalar incremental rule reaches.
 
 The lexicographic candidate order — more pessimistic time first, then
 smaller ``from``-pin id, then smaller group id — is the shared
@@ -28,26 +36,9 @@ sorts at runtime: the edge table is pre-sorted by ``(dst, src)`` inside
 each level (:class:`~repro.core.arrays.LevelBucket`), so the most
 pessimistic candidate per destination is a ``reduceat`` segment
 reduction, and "earliest position achieving the segment extremum"
-recovers exactly the contract's winner (positions ascend by from-pin;
-the two candidate slots of one edge are pre-swapped so the smaller
-group sits first on a time tie).  The same rule is spelled out
-per-offer in the scalar backend, so ``from``-pointers (and hence
-reported path sets) agree bit-for-bit.
-
-Merging a level's batch extremum into the running per-pin state is a
-pure element-wise combine: the union of two ``(best, fallback)``
-summaries is again summarized by its lexicographic best plus the most
-pessimistic survivor among the three remaining tuples whose group
-differs from the new best's — any discarded candidate is dominated by
-one of those three (see ``_combine_dual``).  Only the irregular seed
-batch, which can hit arbitrary pins more than once, still goes through
-a sort-based merge (:func:`_merge_dual_seeds`).
-
-Each pass also precomputes the deviation-cost column for the graph's
-fanin CSR in one vectorized pass over all edges
-(:class:`FastDeviation`), which the top-k search in
-:mod:`repro.cppr.deviation` consumes in place of per-edge ``auto()``
-queries.
+recovers exactly the contract's winner (positions ascend by from-pin).
+The same rule is spelled out per-offer in the scalar backend, so
+``from``-pointers (and hence reported path sets) agree bit-for-bit.
 """
 
 from __future__ import annotations
@@ -59,12 +50,11 @@ import numpy as np
 from repro import faults
 from repro.circuit.graph import TimingGraph
 from repro.core.arrays import CoreArrays, get_core
-from repro.cppr.tuples import NO_GROUP, NO_NODE
+from repro.cppr.tuples import NO_NODE
 from repro.obs import collector as _obs
 from repro.sta.modes import AnalysisMode
 
-__all__ = ["FastDeviation", "propagate_dual_array",
-           "propagate_single_array"]
+__all__ = ["FastDeviation", "propagate_single_array"]
 
 _INF = float("inf")
 
@@ -118,89 +108,16 @@ def _fast_deviation(core: CoreArrays, time0: np.ndarray,
 
 
 def _seed_columns(seeds: Iterable) -> tuple[np.ndarray, np.ndarray,
-                                            np.ndarray, np.ndarray, int]:
-    pins, times, froms, groups = [], [], [], []
+                                            np.ndarray, int]:
+    pins, times, froms = [], [], []
     for seed in seeds:
         pins.append(seed.pin)
         times.append(seed.time)
         froms.append(seed.from_pin)
-        groups.append(seed.group)
     return (np.asarray(pins, dtype=np.int64),
             np.asarray(times, dtype=np.float64),
             np.asarray(froms, dtype=np.int64),
-            np.asarray(groups, dtype=np.int64),
             len(pins))
-
-
-def _merge_dual_seeds(state, empty, is_setup, targets, ct, cf, cg):
-    """Sort-based (best, fallback) recompute for the seed batch.
-
-    Seeds can hit arbitrary pins any number of times, so unlike a level
-    bucket there is no precomputed segment geometry — sort the batch by
-    pin with the tie-break contract as secondary keys and take the
-    per-pin head as best, the first different-group candidate as
-    fallback.  Runs once per propagation on the (small) seed list.
-    """
-    time0, from0, group0, time1, from1, group1 = state
-    order = np.lexsort((cg, cf, -ct if is_setup else ct, targets))
-    v, t, f, g = targets[order], ct[order], cf[order], cg[order]
-    starts = np.flatnonzero(np.r_[True, v[1:] != v[:-1]])
-    upd = v[starts]
-    best_g = g[starts]
-    time0[upd] = t[starts]
-    from0[upd] = f[starts]
-    group0[upd] = best_g
-    counts = np.diff(np.r_[starts, len(v)])
-    pin_of_pos = np.repeat(np.arange(len(starts)), counts)
-    pos = np.where(g != best_g[pin_of_pos], np.arange(len(v)), len(v))
-    first = np.minimum.reduceat(pos, starts)
-    has_fb = first < len(v)
-    fb = first[has_fb]
-    time1[upd[has_fb]] = t[fb]
-    from1[upd[has_fb]] = f[fb]
-    group1[upd[has_fb]] = g[fb]
-
-
-def _combine_dual(state, empty, is_setup, upd,
-                  b0t, b0f, b0g, b1t, b1f, b1g):
-    """Merge one level's per-pin batch summary into the running state.
-
-    ``upd`` holds distinct pins; ``(b0*, b1*)`` their batch best and
-    batch fallback (``b1t == empty`` when the batch has no
-    different-group candidate).  The union's best is the lexicographic
-    winner of the two bests; its fallback is the most pessimistic of
-    the three remaining tuples whose group differs from the new best's
-    — every discarded candidate is dominated by one of them: candidates
-    sharing the losing best's group by that best, all others by that
-    side's fallback.
-    """
-    time0, from0, group0, time1, from1, group1 = state
-    c0t, c0f, c0g = time0[upd], from0[upd], group0[upd]
-    c1t, c1f, c1g = time1[upd], from1[upd], group1[upd]
-    bwin = _lex_beats(is_setup, b0t, b0f, b0g, c0t, c0f, c0g)
-    n0t = np.where(bwin, b0t, c0t)
-    n0f = np.where(bwin, b0f, c0f)
-    n0g = np.where(bwin, b0g, c0g)
-    # Fallback tournament: losing best, then each side's fallback.
-    rt = np.where(bwin, c0t, b0t)
-    rf = np.where(bwin, c0f, b0f)
-    rg = np.where(bwin, c0g, b0g)
-    rv = (rt != empty) & (rg != n0g)
-    for xt, xf, xg in ((c1t, c1f, c1g), (b1t, b1f, b1g)):
-        xv = (xt != empty) & (xg != n0g)
-        take = (xv & ~rv) | (xv & rv
-                             & _lex_beats(is_setup, xt, xf, xg,
-                                          rt, rf, rg))
-        rt = np.where(take, xt, rt)
-        rf = np.where(take, xf, rf)
-        rg = np.where(take, xg, rg)
-        rv = rv | xv
-    time0[upd] = n0t
-    from0[upd] = n0f
-    group0[upd] = n0g
-    time1[upd] = np.where(rv, rt, empty)
-    from1[upd] = np.where(rv, rf, NO_NODE)
-    group1[upd] = np.where(rv, rg, NO_GROUP)
 
 
 def _beats(is_setup: bool, bt, at):
@@ -212,87 +129,6 @@ def _lex_beats(is_setup: bool, bt, bf, bg, at, af, ag):
     """Element-wise full tie-break: (time, from-pin, group)."""
     return (_beats(is_setup, bt, at)
             | ((bt == at) & ((bf < af) | ((bf == af) & (bg < ag)))))
-
-
-def propagate_dual_array(graph: TimingGraph, mode: AnalysisMode,
-                         seeds: Iterable) -> "DualArrivalArrays":
-    """Array-backend grouped forward pass (Algorithm 2 lines 1-13)."""
-    from repro.cppr.propagation import DualArrivalArrays
-
-    faults.check("numpy.import")
-    core = get_core(graph)
-    n = graph.num_pins
-    empty = mode.empty_time
-    is_setup = mode.is_setup
-    reduce_best = np.maximum.reduceat if is_setup else np.minimum.reduceat
-
-    time0 = np.full(n, empty, dtype=np.float64)
-    from0 = np.full(n, NO_NODE, dtype=np.int64)
-    group0 = np.full(n, NO_GROUP, dtype=np.int64)
-    time1 = np.full(n, empty, dtype=np.float64)
-    from1 = np.full(n, NO_NODE, dtype=np.int64)
-    group1 = np.full(n, NO_GROUP, dtype=np.int64)
-    state = (time0, from0, group0, time1, from1, group1)
-
-    s_pin, s_t, s_f, s_g, num_seeds = _seed_columns(seeds)
-    if num_seeds:
-        _merge_dual_seeds(state, empty, is_setup, s_pin, s_t, s_f, s_g)
-
-        for b in core.level_buckets:
-            src = b.src
-            delay = b.late if is_setup else b.early
-            # Two candidate slots per edge: the source's best tuple and
-            # its fallback.  Pre-swap each pair so the slot order obeys
-            # the tie-break (pessimistic time first, then smaller group
-            # — the from-pin is the same for both slots).
-            ta = time0[src] + delay
-            tb = time1[src] + delay
-            ga = group0[src]
-            gb = group1[src]
-            swap = _beats(is_setup, tb, ta) | ((tb == ta) & (gb < ga))
-            m2 = 2 * len(src)
-            t = np.empty(m2, dtype=np.float64)
-            t[0::2] = np.where(swap, tb, ta)
-            t[1::2] = np.where(swap, ta, tb)
-            g = np.empty(m2, dtype=np.int64)
-            g[0::2] = np.where(swap, gb, ga)
-            g[1::2] = np.where(swap, ga, gb)
-            # Segment extremum, then the earliest slot achieving it:
-            # slots ascend by from-pin (and pair order breaks the rest),
-            # so "first at extremum" is exactly the contract's winner.
-            bt = reduce_best(t, b.cstarts)
-            active = bt != empty
-            if not active.any():
-                continue
-            slots = np.arange(m2)
-            pos = np.where(t == bt[b.cseg], slots, m2)
-            first = np.minimum.reduceat(pos, b.cstarts)
-            first = np.minimum(first, m2 - 1)  # inactive segments only
-            bf = b.cand_src[first]
-            bg = g[first]
-            # Batch fallback: most pessimistic slot in a different group.
-            t2 = np.where(g != bg[b.cseg], t, empty)
-            ft = reduce_best(t2, b.cstarts)
-            pos = np.where(t2 == ft[b.cseg], slots, m2)
-            first = np.minimum(np.minimum.reduceat(pos, b.cstarts),
-                               m2 - 1)
-            has_fb = ft != empty
-            ff = np.where(has_fb, b.cand_src[first], NO_NODE)
-            fg = np.where(has_fb, g[first], NO_GROUP)
-            _combine_dual(state, empty, is_setup, b.seg_dst[active],
-                          bt[active], bf[active], bg[active],
-                          ft[active], ff[active], fg[active])
-
-    col = _obs.ACTIVE
-    if col is not None:
-        col.add("propagation.seeds", num_seeds)
-        col.add("propagation.pins_visited",
-                int((time0 != empty).sum()))
-
-    fast = _fast_deviation(core, time0, is_setup)
-    return DualArrivalArrays(mode, time0.tolist(), from0.tolist(),
-                             group0.tolist(), time1.tolist(),
-                             from1.tolist(), group1.tolist(), fast=fast)
 
 
 def propagate_single_array(graph: TimingGraph, mode: AnalysisMode,
@@ -311,7 +147,7 @@ def propagate_single_array(graph: TimingGraph, mode: AnalysisMode,
     time0 = np.full(n, empty, dtype=np.float64)
     from0 = np.full(n, NO_NODE, dtype=np.int64)
 
-    s_pin, s_t, s_f, _s_g, num_seeds = _seed_columns(seeds)
+    s_pin, s_t, s_f, num_seeds = _seed_columns(seeds)
     if num_seeds:
         # Seed batch: sort by pin with the tie-break as secondary keys.
         order = np.lexsort((s_f, -s_t if is_setup else s_t, s_pin))

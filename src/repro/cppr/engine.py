@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING
 if TYPE_CHECKING:
     from repro.corners import CornerSet
 
-from repro.core import resolve_backend, resolve_batch_levels, safer_backend
+from repro.core import resolve_backend, safer_backend
 from repro.cppr.level_paths import paths_at_level
 from repro.cppr.output_paths import output_paths
 from repro.cppr.parallel import available_executors, run_tasks
@@ -84,19 +84,13 @@ class CpprOptions:
     backend:
         ``"auto"``, ``"scalar"`` or ``"array"`` — the compute substrate
         for the per-pass propagation, grouping and deviation costs (see
-        :mod:`repro.core`).  ``"auto"`` picks ``"array"`` when numpy is
-        importable and falls back to ``"scalar"`` otherwise; requesting
-        ``"array"`` without numpy raises at engine construction.  Both
-        backends produce identical reports.
-    batch_levels:
-        ``"auto"``, ``"on"`` or ``"off"`` — whether the ``D`` per-level
-        forward propagations run as one ``(D, n)`` batched sweep
-        (:mod:`repro.core.batched`) instead of ``D`` independent
-        passes.  ``"auto"`` batches exactly when the array backend is
-        in use; ``"on"`` without numpy raises the same ``repro[fast]``
-        ``ImportError`` as ``backend="array"``, and combined with an
-        explicit ``backend="scalar"`` raises at construction.  Batching
-        never changes reports — it is the same computation, row-wise.
+        :mod:`repro.core`).  The array backend runs the ``D`` per-level
+        forward propagations as one ``(2D, n)`` batched sweep
+        (:mod:`repro.core.batched`); the scalar backend runs ``D``
+        independent reference passes.  ``"auto"`` picks ``"array"``
+        when numpy is importable and falls back to ``"scalar"``
+        otherwise; requesting ``"array"`` without numpy raises at
+        engine construction.  Both backends produce identical reports.
     task_timeout:
         Seconds each pooled per-level task may take before the
         scheduler declares it hung and re-runs it on a safer executor
@@ -130,7 +124,6 @@ class CpprOptions:
     include_output_tests: bool = False
     heap_capacity: int | None = None
     backend: str = "auto"
-    batch_levels: str = "auto"
     task_timeout: float | None = None
     max_retries: int = 2
     retry_backoff: float = 0.05
@@ -164,48 +157,40 @@ def _run_family_resilient(analyzer: TimingAnalyzer, task: tuple, k: int,
 
     When a pass dies inside the array substrate (numpy import vanishing
     in a worker, an allocation failure mid-sweep), the *same* pass is
-    re-run on the next-safer producer — ``batched -> array -> scalar``
-    — each rung of which computes bit-for-bit identical paths.  Returns
+    re-run on the scalar reference — ``array -> scalar`` — which
+    computes bit-for-bit identical paths without the batch.  Returns
     ``(paths, degradation_events)`` so the engine can surface what
     happened; deliberate library errors (:class:`ReproError`) and
     strict mode propagate unchanged.  Module-level for pickling.
     """
     events: list[dict] = []
-    attempt_backend, attempt_batch = backend, batch
     while True:
         try:
             paths = _run_family(analyzer, task, k, mode, heap_capacity,
-                                attempt_backend, attempt_batch)
+                                backend, batch)
             return paths, tuple(events)
         except ReproError:
             raise
         except Exception as exc:
             if strict:
                 raise
-            if attempt_batch is not None:
-                events.append({"event": "degrade.batched",
-                               "task": "/".join(map(str, task)),
-                               "error": repr(exc)})
-                attempt_batch = None
-                continue
-            safer = safer_backend(attempt_backend)
+            safer = safer_backend(backend)
             if safer is None:
                 raise
             events.append({"event": "degrade.backend",
                            "task": "/".join(map(str, task)),
-                           "source": attempt_backend, "target": safer,
+                           "source": backend, "target": safer,
                            "error": repr(exc)})
-            attempt_backend = safer
+            backend, batch = safer, None
 
 
-def _validate_options(options: CpprOptions) -> tuple[str, bool, int]:
+def _validate_options(options: CpprOptions) -> tuple[str, int]:
     """Reject bad executor/worker/backend settings at construction time.
 
     Failing here — with the list of valid values — beats the obscure
     failure the same mistake used to produce deep inside
     :func:`repro.cppr.parallel.run_tasks` on the first query.  Returns
-    the resolved concrete backend (``"scalar"`` or ``"array"``),
-    whether the per-level passes share one batched sweep, and the
+    the resolved concrete backend (``"scalar"`` or ``"array"``) and the
     resolved worker count.  Requesting more workers than the machine
     has CPUs is not an error — it is clamped here (oversubscribed
     pools only add contention), and the clamp is visible as the
@@ -218,7 +203,6 @@ def _validate_options(options: CpprOptions) -> tuple[str, bool, int]:
             f"this platform: {', '.join(valid)}")
     try:
         backend = resolve_backend(options.backend)
-        batched = resolve_batch_levels(options.batch_levels, backend)
     except ValueError as exc:
         raise AnalysisError(str(exc)) from None
     cpus = os.cpu_count() or 1
@@ -263,7 +247,7 @@ def _validate_options(options: CpprOptions) -> tuple[str, bool, int]:
             raise AnalysisError(
                 f"corners must be a repro.corners.CornerSet or None, "
                 f"got {options.corners!r}")
-    return backend, batched, resolved_workers
+    return backend, resolved_workers
 
 
 class CpprEngine:
@@ -280,11 +264,10 @@ class CpprEngine:
                  options: CpprOptions | None = None) -> None:
         self.analyzer = analyzer
         self.options = options or CpprOptions()
-        #: The concrete backend ``"auto"`` resolved to at construction,
-        #: whether per-level passes share one batched sweep, and the
-        #: worker count after clamping to the machine's CPUs.
-        (self.backend, self.batched,
-         self.resolved_workers) = _validate_options(self.options)
+        #: The concrete backend ``"auto"`` resolved to at construction
+        #: and the worker count after clamping to the machine's CPUs.
+        self.backend, self.resolved_workers = _validate_options(
+            self.options)
         #: Profile of the most recent collected query, or ``None``.
         self.last_profile: Profile | None = None
         #: Trace id of the most recent collected query, or ``None``.
@@ -374,7 +357,6 @@ class CpprEngine:
         meta = {"executor": self.options.executor,
                 "workers": workers,
                 "backend": self.backend,
-                "batched": "on" if self.batched else "off",
                 "shm": "on" if shm_on else "off"}
         if self._corner_analyzers:
             names = list(self._corner_analyzers)
@@ -509,8 +491,9 @@ class CpprEngine:
             # deviation searches.
             batches: dict[str | None, object] = {name: None
                                                  for name, _ in items}
+            backend = self.backend
             with _obs.span("stage", "propagation"):
-                if self.batched and self.analyzer.clock_tree.num_levels > 0:
+                if backend == "array" and self.analyzer.clock_tree.num_levels:
                     try:
                         from repro.core.batched import \
                             propagate_dual_batched_corners
@@ -526,8 +509,13 @@ class CpprEngine:
                             raise ExecutionError(
                                 "batched propagation failed in strict "
                                 "mode") from exc
-                        degraded.append({"event": "degrade.batched",
+                        # Without the sweep the query runs on the
+                        # scalar rung.
+                        backend = safer_backend(self.backend)
+                        degraded.append({"event": "degrade.backend",
                                          "task": "build",
+                                         "source": self.backend,
+                                         "target": backend,
                                          "error": repr(exc)})
             # Shared-memory plane: on the array backend (when the
             # platform supports it) each corner's value/batch columns
@@ -543,11 +531,11 @@ class CpprEngine:
             fn, process_pool = _run_family_resilient, "fork"
             shard_ctxs: dict[str | None, object] = {}
             args = [(analyzer, task, k, mode,
-                     self.options.heap_capacity, self.backend,
+                     self.options.heap_capacity, backend,
                      batches[name] if task[0] == "level" else None,
                      strict)
                     for name, analyzer, task in task_index]
-            if self.backend == "array":
+            if backend == "array":
                 from repro.core import shm as _shm
                 if _shm.available():
                     from repro.cppr import shard as _shard
@@ -578,7 +566,7 @@ class CpprEngine:
                         args = [(shard_ctxs[name].descriptor(
                                     task, k, mode,
                                     self.options.heap_capacity,
-                                    self.backend, strict,
+                                    backend, strict,
                                     corner=self._corner_label(name)),)
                                 for name, _analyzer, task in task_index]
             with _obs.span("stage", "families"):
@@ -617,8 +605,7 @@ class CpprEngine:
             # event is stamped with the window's trace id so exported
             # traces and degradation records correlate.
             for event in degraded:
-                if event["event"] in ("degrade.batched",
-                                      "degrade.backend"):
+                if event["event"] == "degrade.backend":
                     col.add(event["event"])
                 event.setdefault("trace", col.trace_id)
         self.last_degraded = tuple(degraded)

@@ -35,11 +35,11 @@ def paths_at_level(analyzer: TimingAnalyzer, level: int, k: int,
     (``O(k log k)`` heap work along paths), matching the per-level cost in
     the paper's complexity theorem.  ``backend`` selects the scalar or
     array substrate for the pass (see :mod:`repro.core`); results are
-    identical.  When ``batch`` carries a pre-computed
-    :class:`~repro.core.batched.BatchedLevels` sweep for this mode, the
-    pass consumes its level slice instead of propagating — only the
-    deviation search runs here, which is what lets the engine's
-    executors still parallelize the searches.
+    identical.  The array substrate reads its level from a
+    :class:`~repro.core.batched.BatchedLevels` sweep for this mode:
+    ``batch`` when the caller pre-computed one (then only the deviation
+    search runs here, which is what lets the engine's executors still
+    parallelize the searches), otherwise a sweep built by this call.
     """
     with _obs.span("level", level):
         return _paths_at_level(analyzer, level, k, mode, heap_capacity,
@@ -54,6 +54,9 @@ def _paths_at_level(analyzer: TimingAnalyzer, level: int, k: int,
     tree = graph.clock_tree
     clock_period = analyzer.constraints.clock_period
 
+    if batch is None and backend == "array":
+        from repro.core.batched import propagate_dual_batched
+        batch = propagate_dual_batched(graph, mode)
     if batch is not None:
         grouping = batch.grouping(level)
         if not batch.num_seeds(level):
@@ -63,7 +66,7 @@ def _paths_at_level(analyzer: TimingAnalyzer, level: int, k: int,
         with _obs.span("propagate.slice"):
             arrays = batch.arrays(level)
     else:
-        grouping = group_for_level(tree, level, graph.num_ffs, backend)
+        grouping = group_for_level(tree, level, graph.num_ffs)
 
         seeds = []
         for ff in graph.ffs:
@@ -81,7 +84,7 @@ def _paths_at_level(analyzer: TimingAnalyzer, level: int, k: int,
         if not seeds:
             return []
         with _obs.span("propagate"):
-            arrays = propagate_dual(graph, mode, seeds, backend)
+            arrays = propagate_dual(graph, mode, seeds)
 
     capture_seeds = []
     for ff in graph.ffs:

@@ -10,24 +10,21 @@ Two variants, matching the paper:
   and 4 (self-loop and primary-input candidates), which needs no group
   bookkeeping and only one tuple per pin.
 
-Both come in two interchangeable **backends** selected by the
-``backend`` argument:
+The grouped pass has two producers:
 
-* ``"scalar"`` — the readable pure-Python reference below: one
-  ``offer`` per (edge, tuple), pins walked in topological order.
-* ``"array"`` — :mod:`repro.core.propagate`: the same computation as
-  level-wise numpy scatter relaxation over the CSR substrate of
-  :mod:`repro.core.arrays`, which also precomputes the deviation-cost
-  columns the top-k search consumes.
+* :func:`propagate_dual` below — the readable pure-Python reference
+  (``backend="scalar"``): one ``offer`` per (edge, tuple), pins walked
+  in topological order.  It is the oracle the array backend is tested
+  against and the path installs without numpy run.
+* :func:`repro.core.batched.propagate_dual_batched` — the array
+  backend: **all** ``D`` per-level grouped passes as one sweep over
+  ``(2D, n)`` state matrices, served back level by level as
+  :class:`DualArrivalArrays` slices together with the precomputed
+  deviation-cost columns the top-k search consumes.
 
-A third producer exists for the dual arrays only:
-:func:`repro.core.batched.propagate_dual_batched` runs **all** ``D``
-per-level grouped passes as one sweep over ``(D, n)`` state matrices
-and serves each level back as a :class:`DualArrivalArrays` slice
-(``CpprOptions.batch_levels``).  It is not a separate semantics —
-row ``d`` of the batched state is bit-for-bit the level-``d`` array
-pass — which is why consumers never need to know which of the three
-producers built their arrays.
+The ungrouped pass takes a ``backend`` argument instead:
+``"scalar"`` runs the loop below, ``"array"`` the level-wise numpy
+relaxation of :func:`repro.core.propagate.propagate_single_array`.
 
 All producers agree **exactly** (same times, same ``from`` pointers,
 same groups) because all implement the shared tie-breaking contract:
@@ -79,14 +76,12 @@ class Seed:
 class DualArrivalArrays:
     """Array-of-fields storage for the dual tuples of Table II.
 
-    Three producers build these: the scalar loop below, the array
-    backend's level-wise pass, and the batched sweep's per-level
-    slices (:meth:`repro.core.batched.BatchedLevels.arrays`) — all
-    bit-for-bit identical.  ``fast`` optionally carries the
-    precomputed deviation-cost columns
-    (:class:`repro.core.propagate.FastDeviation`) when an array-based
-    producer built this instance; the scalar backend leaves it
-    ``None``.
+    Two producers build these: the scalar loop below and the batched
+    sweep's per-level slices
+    (:meth:`repro.core.batched.BatchedLevels.arrays`) — bit-for-bit
+    identical.  ``fast`` carries the precomputed deviation-cost columns
+    (:class:`repro.core.propagate.FastDeviation`) when the batched
+    sweep built this instance; the scalar loop leaves it ``None``.
     """
 
     mode: AnalysisMode
@@ -142,20 +137,15 @@ class SingleArrivalArrays:
 
 
 def propagate_dual(graph: TimingGraph, mode: AnalysisMode,
-                   seeds: Iterable[Seed],
-                   backend: str = "scalar") -> DualArrivalArrays:
-    """Grouped forward pass (Algorithm 2 lines 1-13).
+                   seeds: Iterable[Seed]) -> DualArrivalArrays:
+    """Grouped forward pass (Algorithm 2 lines 1-13), scalar reference.
 
     Runs in ``O(n)`` per call: each data edge is relaxed with at most two
     candidate tuples.  The update rule is the one proven correct in
-    :class:`repro.cppr.tuples.DualArrival`.  ``backend`` selects the
-    scalar reference loop or the numpy level-wise implementation; both
-    produce identical arrays (see module docstring).
+    :class:`repro.cppr.tuples.DualArrival`.  The array backend's
+    producer is :func:`repro.core.batched.propagate_dual_batched` (see
+    module docstring).
     """
-    if backend == "array":
-        from repro.core.propagate import propagate_dual_array
-        return propagate_dual_array(graph, mode, seeds)
-
     n = graph.num_pins
     empty = mode.empty_time
     is_setup = mode.is_setup

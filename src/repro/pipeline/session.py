@@ -107,8 +107,8 @@ class CpprSession:
         #: Corner label stamped on replay metrics (``-`` when this
         #: session is not part of a :class:`MultiCornerSession`).
         self.corner = corner
-        (self.backend, self.batched,
-         self.resolved_workers) = _validate_options(self.options)
+        self.backend, self.resolved_workers = _validate_options(
+            self.options)
         self.graph = analyzer.graph.session_copy()
         self.analyzer = TimingAnalyzer(self.graph, analyzer.constraints)
         self.tree_epoch = 0
@@ -637,7 +637,6 @@ class CpprSession:
         """
         meta = {"executor": self.options.executor,
                 "backend": self.backend,
-                "batched": "on" if self.batched else "off",
                 "basis": f"{self.tree_epoch}/{self.values_version}"}
         if self.corner != "-":
             meta["corner"] = self.corner
@@ -676,7 +675,7 @@ class MultiCornerSession:
                 "MultiCornerSession needs CpprOptions(corners=...); "
                 "use CpprSession for single-corner analysis")
         self.options = options
-        backend, _batched, _workers = _validate_options(options)
+        backend, _workers = _validate_options(options)
         realized = options.corners.realize(analyzer, backend)
         self.sessions: dict[str, CpprSession] = {
             name: CpprSession(corner_analyzer, options, corner=name)
@@ -851,7 +850,6 @@ class MultiCornerSession:
         first = next(iter(self.sessions.values()))
         meta = {"executor": self.options.executor,
                 "backend": first.backend,
-                "batched": "on" if first.batched else "off",
                 "corners": f"{len(self.sessions)}: "
                            f"{', '.join(self.sessions)}"}
         for key, value in self.meta_context.items():

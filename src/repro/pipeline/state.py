@@ -186,12 +186,10 @@ def build_mode_state(graph: TimingGraph, mode: AnalysisMode,
             seed_map = _level_seed_map(graph, mode, grouping)
             seeds = [Seed(pin, t, frm, gid)
                      for pin, (t, frm, gid) in seed_map.items()]
-            arrays = propagate_dual(graph, mode, seeds, substrate)
-            cost0 = (arrays.fast.cost0 if arrays.fast is not None
-                     else None)
+            arrays = propagate_dual(graph, mode, seeds)
             levels.append(LevelState(
                 arrays.time0, arrays.from0, arrays.group0, arrays.time1,
-                arrays.from1, arrays.group1, cost0, seed_map,
+                arrays.from1, arrays.group1, None, seed_map,
                 len(seeds)))
 
     self_loop = (_single_state(graph, mode, substrate,

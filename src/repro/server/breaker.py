@@ -1,15 +1,14 @@
 """Per-design circuit breaker over the engine's degradation ladder.
 
-The PR 4 scheduler already recovers *inside* a query: a fault walks the
-``batched -> array -> scalar`` / ``process -> thread -> serial``
-ladders and the answer stays exact.  The breaker closes the loop
-*across* queries: a design whose requests keep coming back degraded is
-paying ladder-walk latency on every call, so the breaker proactively
-**demotes** the design to the safer rung the queries were ending up on
-anyway (first ``batch_levels="off"``, then ``backend="scalar"``) and
-re-probes the configured rung after a cooldown.  Demotion changes how
-fast answers are computed, never what they contain — every rung is
-bit-for-bit equivalent.
+The scheduler already recovers *inside* a query: a fault walks the
+``array -> scalar`` / ``process -> thread -> serial`` ladders and the
+answer stays exact.  The breaker closes the loop *across* queries: a
+design whose requests keep coming back degraded is paying ladder-walk
+latency on every call, so the breaker proactively **demotes** the
+design to the safer rung the queries were ending up on anyway
+(``backend="scalar"``) and re-probes the configured rung after a
+cooldown.  Demotion changes how fast answers are computed, never what
+they contain — every rung is bit-for-bit equivalent.
 
 Hard failures are handled classically: ``failure_threshold``
 consecutive errors **open** the circuit and requests for that design
@@ -38,11 +37,7 @@ _BREAKER = _metrics.REGISTRY.counter(
 #: Option overrides per demotion rung, safest last.  Rung 0 is the
 #: design's configured options; each next rung pre-applies the safer
 #: strategy degraded queries were falling back to.
-DEMOTION_RUNGS: tuple[dict, ...] = (
-    {},
-    {"batch_levels": "off"},
-    {"batch_levels": "off", "backend": "scalar"},
-)
+DEMOTION_RUNGS: tuple[dict, ...] = ({}, {"backend": "scalar"})
 
 
 class CircuitBreaker:

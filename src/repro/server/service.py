@@ -23,7 +23,7 @@ passes through the robustness envelope, in order:
 3. **circuit breaker** (:class:`~repro.server.breaker.CircuitBreaker`,
    per design) — open circuits answer 503 with ``Retry-After``;
    repeated degraded results demote the design down the
-   ``batched -> array -> scalar`` ladder;
+   ``array -> scalar`` ladder;
 4. **deadline scope** — the request's remaining budget becomes the
    ambient :func:`~repro.cppr.parallel.deadline_scope`, so cooperative
    cancellation propagates into the resilient scheduler and the
@@ -88,8 +88,8 @@ _RECOVERY = _metrics.REGISTRY.counter(
 _OPTION_KEYS = frozenset({
     "executor", "workers", "include_self_loops",
     "include_primary_inputs", "include_output_tests", "heap_capacity",
-    "backend", "batch_levels", "task_timeout", "max_retries",
-    "retry_backoff", "strict"})
+    "backend", "task_timeout", "max_retries", "retry_backoff",
+    "strict"})
 
 
 @dataclass(frozen=True, slots=True)

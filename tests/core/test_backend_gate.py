@@ -36,36 +36,6 @@ class TestResolveBackend:
         assert core.resolve_backend("scalar") == "scalar"
 
 
-class TestResolveBatchLevels:
-    def test_off_never_batches(self):
-        assert core.resolve_batch_levels("off", "array") is False
-        assert core.resolve_batch_levels("off", "scalar") is False
-
-    def test_auto_follows_the_backend(self, monkeypatch):
-        monkeypatch.setattr(core, "HAVE_NUMPY", True)
-        assert core.resolve_batch_levels("auto", "array") is True
-        assert core.resolve_batch_levels("auto", "scalar") is False
-
-    def test_on_with_numpy_batches(self, monkeypatch):
-        monkeypatch.setattr(core, "HAVE_NUMPY", True)
-        assert core.resolve_batch_levels("on", "array") is True
-
-    def test_on_without_numpy_raises_fast_extra(self, monkeypatch):
-        # The same actionable error as an explicit backend="array".
-        monkeypatch.setattr(core, "HAVE_NUMPY", False)
-        with pytest.raises(ImportError, match=r"repro\[fast\]"):
-            core.resolve_batch_levels("on", "scalar")
-
-    def test_on_with_scalar_backend_rejected(self, monkeypatch):
-        monkeypatch.setattr(core, "HAVE_NUMPY", True)
-        with pytest.raises(ValueError, match="array backend"):
-            core.resolve_batch_levels("on", "scalar")
-
-    def test_unknown_value_rejected(self):
-        with pytest.raises(ValueError, match="unknown batch_levels"):
-            core.resolve_batch_levels("always", "array")
-
-
 class TestEngineValidation:
     def test_default_backend_resolves_concretely(self):
         engine = CpprEngine(demo_analyzer())
@@ -96,30 +66,18 @@ class TestEngineValidation:
             engine.with_options(backend="nope")
 
     def test_batching_follows_the_resolved_backend(self):
-        engine = CpprEngine(demo_analyzer())
-        assert engine.batched == (engine.backend == "array")
-        assert CpprEngine(demo_analyzer(),
-                          CpprOptions(batch_levels="off")).batched is False
-
-    def test_batch_on_without_numpy_raises_fast_extra(self, monkeypatch):
-        monkeypatch.setattr(core, "HAVE_NUMPY", False)
-        with pytest.raises(ImportError, match=r"repro\[fast\]"):
-            CpprEngine(demo_analyzer(), CpprOptions(batch_levels="on"))
-
-    def test_batch_on_with_scalar_backend_rejected(self):
-        if not core.HAVE_NUMPY:
-            pytest.skip("needs numpy: the scalar clash is reported only "
-                        "after the numpy gate")
-        with pytest.raises(AnalysisError, match="array backend"):
-            CpprEngine(demo_analyzer(),
-                       CpprOptions(backend="scalar", batch_levels="on"))
-
-    def test_bad_batch_levels_rejected_at_construction(self):
-        with pytest.raises(AnalysisError, match="unknown batch_levels"):
-            CpprEngine(demo_analyzer(), CpprOptions(batch_levels="yes"))
+        # The array backend always runs the batched sweep; the scalar
+        # reference never does.
+        for backend in ("auto", "scalar"):
+            engine = CpprEngine(demo_analyzer(),
+                                CpprOptions(backend=backend))
+            _paths, profile = engine.profiled_top_paths(4, "setup")
+            assert profile.counter("batched.builds") == int(
+                engine.backend == "array")
 
     def test_auto_without_numpy_degrades_to_unbatched(self, monkeypatch):
         monkeypatch.setattr(core, "HAVE_NUMPY", False)
         engine = CpprEngine(demo_analyzer())
         assert engine.backend == "scalar"
-        assert engine.batched is False
+        _paths, profile = engine.profiled_top_paths(4, "setup")
+        assert profile.counter("batched.builds") == 0

@@ -1,10 +1,11 @@
-"""Raw per-level equality: the batched sweep's rows vs standalone passes.
+"""Raw per-level equality: the batched sweep's rows vs scalar passes.
 
-Every row of the batched state must be *bit-for-bit* what the per-level
-array sweep produces — same IEEE-754 arrival values, same from-pointers
-and group ids, same deviation-cost column — because the deviation search
+Every row of the batched state must be *bit-for-bit* what the scalar
+reference pass for that level produces — same IEEE-754 arrival values,
+same from-pointers and group ids, and a deviation-cost column equal to
+the cost formula on the scalar times — because the deviation search
 consumes either interchangeably and the engine promises identical
-reports either way.
+reports on both backends.
 """
 
 from __future__ import annotations
@@ -15,77 +16,27 @@ np = pytest.importorskip("numpy", exc_type=ImportError)
 
 from repro.core.batched import propagate_dual_batched
 from repro.cppr.grouping import group_for_level
-from repro.cppr.propagation import Seed, propagate_dual
 from repro.obs import collecting
 from repro.sta.modes import AnalysisMode
-from tests.helpers import demo_design, random_small
+from tests.helpers import (assert_batched_rows_match_scalar, demo_design,
+                           random_small)
 
 MODES = list(AnalysisMode)
 DESIGN_SEEDS = [0, 7, 23, 101]
-
-
-def _reference_pass(graph, level, mode):
-    """One standalone level pass, exactly as ``level_paths`` runs it."""
-    tree = graph.clock_tree
-    grouping = group_for_level(tree, level, graph.num_ffs, "array")
-    seeds = []
-    for ff in graph.ffs:
-        if not grouping.participates(ff.index):
-            continue
-        node = ff.tree_node
-        offset = grouping.launch_offset[ff.index]
-        if mode.is_setup:
-            q_at = tree.at_late(node) + ff.clk_to_q_late - offset
-        else:
-            q_at = tree.at_early(node) + ff.clk_to_q_early + offset
-        seeds.append(Seed(ff.q_pin, q_at, ff.ck_pin,
-                          grouping.group[ff.index]))
-    if not seeds:
-        return grouping, None
-    return grouping, propagate_dual(graph, mode, seeds, "array")
-
-
-def _assert_row_equal(got, ref):
-    # Primary columns are eager lists; exact (bitwise) equality.
-    assert got.time0 == ref.time0
-    assert got.from0 == ref.from0
-    assert got.group0 == ref.group0
-    # Fallback columns are lazy views; every element must still match.
-    assert list(got.time1) == list(ref.time1)
-    assert list(got.from1) == list(ref.from1)
-    assert list(got.group1) == list(ref.group1)
-    # The precomputed deviation machinery: shared CSR, equal costs.
-    assert got.fast.ptr == ref.fast.ptr
-    assert got.fast.src == ref.fast.src
-    assert got.fast.delay == ref.fast.delay
-    assert got.fast.cost0 == ref.fast.cost0
 
 
 @pytest.mark.parametrize("mode", MODES)
 @pytest.mark.parametrize("design_seed", DESIGN_SEEDS)
 def test_rows_match_standalone_passes(design_seed, mode):
     graph, _constraints = random_small(design_seed)
-    batch = propagate_dual_batched(graph, mode)
-    tree = graph.clock_tree
-    assert batch.num_levels == tree.num_levels
-    for level in range(tree.num_levels):
-        grouping, ref = _reference_pass(graph, level, mode)
-        if ref is None:
-            assert batch.num_seeds(level) == 0
-            continue
-        assert batch.num_seeds(level) > 0
-        _assert_row_equal(batch.arrays(level), ref)
+    assert_batched_rows_match_scalar(graph, mode)
 
 
 @pytest.mark.parametrize("mode", MODES)
 def test_layered_design_rows_match(mode):
     graph, _constraints = random_small(5, layers=3, channels=2,
                                        num_gates=18)
-    batch = propagate_dual_batched(graph, mode)
-    for level in range(graph.clock_tree.num_levels):
-        _grouping, ref = _reference_pass(graph, level, mode)
-        if ref is not None:
-            _assert_row_equal(batch.arrays(level), ref)
+    assert_batched_rows_match_scalar(graph, mode)
 
 
 def test_groupings_match_scalar_reference():

@@ -4,7 +4,9 @@ The cross-backend contract (see :mod:`repro.core`) promises *identical*
 output — times, ``from``-pointers and group ids, not just values within
 tolerance — because both backends implement the same lexicographic
 tie-breaking rule.  These tests assert that bit-for-bit equality on
-randomized designs with randomized seed sets, plus a hand-built tie
+randomized designs — the array backend's grouped pass is the batched
+sweep, checked row by row against the scalar level passes; the
+ungrouped pass runs on randomized seed sets — plus a hand-built tie
 case that pins the rule itself down.
 """
 
@@ -18,10 +20,12 @@ from hypothesis import given, settings, strategies as st
 pytest.importorskip("numpy", exc_type=ImportError)
 
 from repro import Netlist
+from repro.core.batched import propagate_dual_batched
 from repro.cppr.grouping import group_for_level
-from repro.cppr.propagation import Seed, propagate_dual, propagate_single
+from repro.cppr.propagation import Seed, propagate_single
 from repro.sta.modes import AnalysisMode
-from tests.helpers import demo_design, random_small
+from tests.helpers import (assert_batched_rows_match_scalar, demo_design,
+                           random_small, scalar_level_pass)
 
 MODES = list(AnalysisMode)
 
@@ -30,14 +34,6 @@ def random_seeds(graph, rng, count=8, groups=3):
     return [Seed(rng.randrange(graph.num_pins), rng.uniform(-3, 3),
                  group=rng.randrange(groups))
             for _ in range(count)]
-
-
-def assert_dual_identical(graph, mode, seeds):
-    a = propagate_dual(graph, mode, seeds, backend="scalar")
-    b = propagate_dual(graph, mode, seeds, backend="array")
-    for field in ("time0", "from0", "group0", "time1", "from1", "group1"):
-        assert getattr(a, field) == getattr(b, field), field
-    assert a.fast is None and b.fast is not None
 
 
 def assert_single_identical(graph, mode, seeds):
@@ -53,24 +49,22 @@ def assert_single_identical(graph, mode, seeds):
 def test_random_designs_identical(design_seed, mode):
     graph, _ = random_small(design_seed)
     rng = random.Random(design_seed)
-    seeds = random_seeds(graph, rng)
-    assert_dual_identical(graph, mode, seeds)
-    assert_single_identical(graph, mode, seeds)
+    assert_batched_rows_match_scalar(graph, mode)
+    assert_single_identical(graph, mode, random_seeds(graph, rng))
 
 
 @pytest.mark.parametrize("mode", MODES)
 def test_demo_design_identical(mode):
     graph, _ = demo_design()
     rng = random.Random(7)
-    seeds = random_seeds(graph, rng, count=12)
-    assert_dual_identical(graph, mode, seeds)
-    assert_single_identical(graph, mode, seeds)
+    assert_batched_rows_match_scalar(graph, mode)
+    assert_single_identical(graph, mode, random_seeds(graph, rng,
+                                                      count=12))
 
 
 @pytest.mark.parametrize("mode", MODES)
 def test_empty_seed_list(mode):
     graph, _ = demo_design()
-    assert_dual_identical(graph, mode, [])
     assert_single_identical(graph, mode, [])
 
 
@@ -94,13 +88,16 @@ def test_tie_breaks_on_smaller_from_pin(mode):
     ffa = graph.ff_by_name("ffa")
     ffb = graph.ff_by_name("ffb")
     ffc = graph.ff_by_name("ffc")
-    # Identical seed times and delays: arrival at g/Y ties exactly, and
-    # the contract says the smaller from-pin id wins in both backends.
-    seeds = [Seed(ffa.q_pin, 1.0, group=0), Seed(ffb.q_pin, 1.0, group=1)]
+    # ffa and ffb launch at identical times in different level-0 groups
+    # and reach g/Y over identical delays: arrival at g/Y ties exactly,
+    # and the contract says the smaller from-pin id wins in both
+    # backends.
     y_pin = next(u for u, _e, _l in graph.fanin[ffc.d_pin])
     input_pins = sorted(u for u, _e, _l in graph.fanin[y_pin])
-    for backend in ("scalar", "array"):
-        arrays = propagate_dual(graph, mode, seeds, backend=backend)
+    grouped = {"scalar": scalar_level_pass(graph, 0, mode),
+               "array": propagate_dual_batched(graph, mode).arrays(0)}
+    seeds = [Seed(ffa.q_pin, 1.0, group=0), Seed(ffb.q_pin, 1.0, group=1)]
+    for backend, arrays in grouped.items():
         assert arrays.from0[y_pin] == input_pins[0], backend
         # The loser survives as the different-group fallback.
         assert arrays.from1[y_pin] == input_pins[1], backend
@@ -108,7 +105,7 @@ def test_tie_breaks_on_smaller_from_pin(mode):
         assert arrays.time0[y_pin] == arrays.time1[y_pin]
         single = propagate_single(graph, mode, seeds, backend=backend)
         assert single.from_pin[y_pin] == input_pins[0], backend
-    assert_dual_identical(graph, mode, seeds)
+    assert_batched_rows_match_scalar(graph, mode)
 
 
 @settings(max_examples=20, deadline=None)

@@ -53,8 +53,7 @@ class TestAmbientChaos:
         analyzer = demo_analyzer()
         with inject():  # empty plan: shadow ambient chaos for the ref
             want = _fingerprint(CpprEngine(analyzer, CpprOptions(
-                backend="scalar",
-                batch_levels="off")).top_paths(6, "setup"))
+                backend="scalar")).top_paths(6, "setup"))
         options = CpprOptions(executor=executor, workers=2,
                               task_timeout=1.0, max_retries=3,
                               retry_backoff=0.0)
@@ -70,8 +69,7 @@ class TestAmbientChaos:
         analyzer = TimingAnalyzer(graph, constraints)
         with inject():
             want = {mode: _fingerprint(CpprEngine(analyzer, CpprOptions(
-                        backend="scalar", batch_levels="off"
-                        )).top_paths(8, mode))
+                        backend="scalar")).top_paths(8, mode))
                     for mode in ("setup", "hold")}
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", DegradedResultWarning)

@@ -31,8 +31,7 @@ def _fingerprint(paths):
 
 def _reference(analyzer, k=6, mode="setup"):
     clean = CpprEngine(analyzer, CpprOptions(executor="serial",
-                                             backend="scalar",
-                                             batch_levels="off"))
+                                             backend="scalar"))
     return _fingerprint(clean.top_paths(k, mode))
 
 

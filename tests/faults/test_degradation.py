@@ -33,45 +33,62 @@ class TestSaferBackend:
             safer_backend("auto")
 
 
+def _events(engine):
+    return [{k: v for k, v in event.items() if k not in ("error", "trace")}
+            for event in engine.last_degraded]
+
+
 @needs_numpy
 class TestEngineBackendLadder:
     def test_batched_build_failure_degrades(self):
+        # The sweep dies: the query runs on the scalar rung, recorded
+        # as one descent for the build.
         analyzer = demo_analyzer()
         want = _fingerprint(CpprEngine(analyzer, CpprOptions(
-            backend="scalar", batch_levels="off")).top_paths(6, "setup"))
-        engine = CpprEngine(analyzer, CpprOptions(backend="array",
-                                                  batch_levels="on"))
+            backend="scalar")).top_paths(6, "setup"))
+        engine = CpprEngine(analyzer, CpprOptions(backend="array"))
         with inject(FaultSpec("numpy.import", times=1)):
             with pytest.warns(DegradedResultWarning):
-                got = _fingerprint(engine.top_paths(6, "setup"))
-        assert got == want
-        assert {"event": "degrade.batched", "task": "build"} == {
-            k: v for k, v in engine.last_degraded[0].items()
-            if k != "error"}
+                paths, profile = engine.profiled_top_paths(6, "setup")
+        assert _fingerprint(paths) == want
+        assert _events(engine) == [{"event": "degrade.backend",
+                                    "task": "build", "source": "array",
+                                    "target": "scalar"}]
+        assert profile.counter("degrade.backend") == 1
+        assert profile.counter("batched.builds") == 0
 
-    def test_array_pass_falls_to_scalar(self):
-        # First firing kills the batched build, the second an in-task
-        # array propagation — the pass re-runs on the scalar rung.
+    def test_array_pass_falls_to_scalar(self, monkeypatch):
+        # The sweep builds, then the first level pass dies reading its
+        # slice: that pass alone re-runs on the scalar rung.
+        from repro.core.batched import BatchedLevels
+
         analyzer = demo_analyzer()
         want = _fingerprint(CpprEngine(analyzer, CpprOptions(
-            backend="scalar", batch_levels="off")).top_paths(6, "setup"))
-        engine = CpprEngine(analyzer, CpprOptions(backend="array",
-                                                  batch_levels="on"))
-        with inject(FaultSpec("numpy.import", times=2)):
-            with pytest.warns(DegradedResultWarning):
-                got = _fingerprint(engine.top_paths(6, "setup"))
+            backend="scalar")).top_paths(6, "setup"))
+        engine = CpprEngine(analyzer, CpprOptions(backend="array"))
+        slice_level = BatchedLevels.arrays
+        calls = []
+
+        def failing_once(batch, level):
+            calls.append(level)
+            if len(calls) == 1:
+                raise MemoryError("slice allocation failed")
+            return slice_level(batch, level)
+
+        monkeypatch.setattr(BatchedLevels, "arrays", failing_once)
+        with pytest.warns(DegradedResultWarning):
+            got = _fingerprint(engine.top_paths(6, "setup"))
         assert got == want
-        names = [e["event"] for e in engine.last_degraded]
-        assert "degrade.batched" in names
-        assert "degrade.backend" in names
-        backend_event = next(e for e in engine.last_degraded
-                             if e["event"] == "degrade.backend")
-        assert backend_event["source"] == "array"
-        assert backend_event["target"] == "scalar"
+        assert _events(engine) == [{"event": "degrade.backend",
+                                    "task": f"level/{calls[0]}",
+                                    "source": "array",
+                                    "target": "scalar"}]
+        # The re-run reads no slice: it propagates on the scalar rung.
+        assert calls.count(calls[0]) == 1
 
     def test_strict_raises_instead_of_degrading(self):
         engine = CpprEngine(demo_analyzer(), CpprOptions(
-            backend="array", batch_levels="on", strict=True))
+            backend="array", strict=True))
         with inject(FaultSpec("numpy.import", times=None)):
             with pytest.raises(ExecutionError):
                 engine.top_paths(6, "setup")

@@ -45,8 +45,7 @@ def _fingerprint(paths):
 def _scalar_reference(seed: int, k: int = 6, mode: str = "setup"):
     graph, constraints = random_small(seed)
     clean = CpprEngine(TimingAnalyzer(graph, constraints),
-                       CpprOptions(executor="serial", backend="scalar",
-                                   batch_levels="off"))
+                       CpprOptions(executor="serial", backend="scalar"))
     return _fingerprint(clean.top_paths(k, mode))
 
 

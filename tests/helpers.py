@@ -108,3 +108,70 @@ def assert_slacks_equal(got: list[float], want: list[float],
 
 def path_names(graph: TimingGraph, path) -> list[str]:
     return [graph.pin_name(p) for p in path.pins]
+
+
+def scalar_level_pass(graph: TimingGraph, level: int, mode):
+    """One scalar grouped pass at ``level``, seeded as the engine seeds it.
+
+    Returns the level's dual arrays, or ``None`` when no flip-flop
+    launches at ``level``.
+    """
+    from repro.cppr.grouping import group_for_level
+    from repro.cppr.propagation import Seed, propagate_dual
+
+    tree = graph.clock_tree
+    grouping = group_for_level(tree, level, graph.num_ffs)
+    seeds = []
+    for ff in graph.ffs:
+        if not grouping.participates(ff.index):
+            continue
+        node = ff.tree_node
+        offset = grouping.launch_offset[ff.index]
+        if mode.is_setup:
+            q_at = tree.at_late(node) + ff.clk_to_q_late - offset
+        else:
+            q_at = tree.at_early(node) + ff.clk_to_q_early + offset
+        seeds.append(Seed(ff.q_pin, q_at, ff.ck_pin,
+                          grouping.group[ff.index]))
+    return propagate_dual(graph, mode, seeds) if seeds else None
+
+
+def assert_batched_rows_match_scalar(graph: TimingGraph, mode) -> None:
+    """Every row of the batched sweep is bit-for-bit its scalar pass.
+
+    Same IEEE-754 arrival values, from-pointers and group ids, and a
+    deviation-cost column equal to the cost formula evaluated edge by
+    edge on the scalar times over the graph's own fanin lists.
+    """
+    import math
+
+    from repro.core.batched import propagate_dual_batched
+
+    batch = propagate_dual_batched(graph, mode)
+    assert batch.num_levels == graph.clock_tree.num_levels
+    for level in range(batch.num_levels):
+        ref = scalar_level_pass(graph, level, mode)
+        if ref is None:
+            assert batch.num_seeds(level) == 0
+            continue
+        assert batch.num_seeds(level) > 0
+        got = batch.arrays(level)
+        assert got.time0 == ref.time0
+        assert got.from0 == ref.from0
+        assert got.group0 == ref.group0
+        # Fallback columns are lazy views; every element must match.
+        assert list(got.time1) == ref.time1
+        assert list(got.from1) == ref.from1
+        assert list(got.group1) == ref.group1
+        fast, t = got.fast, ref.time0
+        for v in range(graph.num_pins):
+            row = range(fast.ptr[v], fast.ptr[v + 1])
+            assert sorted((fast.src[i], fast.delay[i]) for i in row) == \
+                sorted((u, late if mode.is_setup else early)
+                       for u, early, late in graph.fanin[v])
+            for i in row:
+                u, delay = fast.src[i], fast.delay[i]
+                cost = (t[v] - t[u] - delay if mode.is_setup
+                        else t[u] + delay - t[v])
+                assert fast.cost0[i] == (cost if math.isfinite(cost)
+                                         else math.inf)

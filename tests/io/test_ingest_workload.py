@@ -24,15 +24,13 @@ YOSYS_FIXTURE = "tests/io/fixtures/counter.json"
 SDF_FIXTURE = "tests/io/fixtures/counter.sdf"
 
 CONFIGS = [
-    pytest.param("scalar", "off", "serial", id="scalar"),
-    pytest.param("scalar", "off", "thread", id="scalar-thread"),
-    pytest.param("array", "off", "serial", id="array",
+    pytest.param("scalar", "serial", id="scalar"),
+    pytest.param("scalar", "thread", id="scalar-thread"),
+    pytest.param("array", "serial", id="array-batched",
                  marks=needs_numpy),
-    pytest.param("array", "on", "serial", id="array-batched",
+    pytest.param("array", "thread", id="array-batched-thread",
                  marks=needs_numpy),
-    pytest.param("array", "on", "thread", id="array-batched-thread",
-                 marks=needs_numpy),
-    pytest.param("array", "on", "process", id="array-batched-process",
+    pytest.param("array", "process", id="array-batched-process",
                  marks=needs_numpy),
 ]
 
@@ -62,13 +60,12 @@ def reference(imported):
 
 
 class TestBackendExecutorEquivalence:
-    @pytest.mark.parametrize("backend, batch, executor", CONFIGS)
+    @pytest.mark.parametrize("backend, executor", CONFIGS)
     def test_bit_for_bit_reports(self, imported, reference, backend,
-                                 batch, executor, mode="setup"):
+                                 executor, mode="setup"):
         engine = CpprEngine(
             TimingAnalyzer(imported.graph, imported.constraints),
-            CpprOptions(backend=backend, batch_levels=batch,
-                        executor=executor))
+            CpprOptions(backend=backend, executor=executor))
         for mode in ("setup", "hold"):
             assert _keys(engine.top_paths(6, mode)) == reference[mode]
 
@@ -111,11 +108,10 @@ class TestSdfCornerRealization:
     @needs_numpy
     def test_corner_sweep_backend_equivalence(self, imported):
         answers = []
-        for backend, batch in (("scalar", "off"), ("array", "on")):
+        for backend in ("scalar", "array"):
             engine = CpprEngine(
                 TimingAnalyzer(imported.graph, imported.constraints),
-                CpprOptions(backend=backend, batch_levels=batch,
-                            corners=imported.corners))
+                CpprOptions(backend=backend, corners=imported.corners))
             by_corner = engine.top_paths_by_corner(6, "setup")
             answers.append({name: _keys(paths)
                             for name, paths in by_corner.items()})

@@ -58,9 +58,8 @@ def _solo_reference(graph, constraints, options, history, k=4):
 
 
 @pytest.mark.parametrize("options", [
-    pytest.param(CpprOptions(backend="scalar", batch_levels="off"),
-                 id="scalar"),
-    pytest.param(CpprOptions(backend="array", batch_levels="on"),
+    pytest.param(CpprOptions(backend="scalar"), id="scalar"),
+    pytest.param(CpprOptions(backend="array"),
                  id="array-batched",
                  marks=pytest.mark.skipif(not HAVE_NUMPY,
                                           reason="numpy required")),

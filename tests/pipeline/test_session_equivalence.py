@@ -24,12 +24,10 @@ except ImportError:  # pragma: no cover
 needs_numpy = pytest.mark.skipif(not HAVE_NUMPY, reason="numpy required")
 
 CONFIGS = [
-    pytest.param("scalar", "off", "serial", id="scalar"),
-    pytest.param("array", "off", "serial", id="array",
+    pytest.param("scalar", "serial", id="scalar"),
+    pytest.param("array", "serial", id="array-batched",
                  marks=needs_numpy),
-    pytest.param("array", "on", "serial", id="array-batched",
-                 marks=needs_numpy),
-    pytest.param("array", "on", "thread", id="array-batched-thread",
+    pytest.param("array", "thread", id="array-batched-thread",
                  marks=needs_numpy),
 ]
 
@@ -45,9 +43,8 @@ def _keys(paths):
     return [_key(path) for path in paths]
 
 
-def _options(backend, batch, executor):
-    return CpprOptions(backend=backend, batch_levels=batch,
-                       executor=executor)
+def _options(backend, executor):
+    return CpprOptions(backend=backend, executor=executor)
 
 
 def _fresh_paths(graph, constraints, delay_batches, clock, options, k,
@@ -91,11 +88,11 @@ def _assert_matches_fresh(session, graph, constraints, delay_batches,
         assert _keys(session.top_paths(k, mode)) == _keys(fresh), mode
 
 
-@pytest.mark.parametrize("backend,batch,executor", CONFIGS)
+@pytest.mark.parametrize("backend,executor", CONFIGS)
 class TestDelayEditEquivalence:
-    def test_cumulative_edit_batches(self, backend, batch, executor):
+    def test_cumulative_edit_batches(self, backend, executor):
         graph, constraints = random_small(23)
-        options = _options(backend, batch, executor)
+        options = _options(backend, executor)
         engine = CpprEngine(TimingAnalyzer(graph, constraints), options)
         session = engine.session()
         rng = random.Random(404)
@@ -111,9 +108,9 @@ class TestDelayEditEquivalence:
                                   None, options)
         assert session.values_version == 3
 
-    def test_update_before_first_query(self, backend, batch, executor):
+    def test_update_before_first_query(self, backend, executor):
         graph, constraints = random_small(29)
-        options = _options(backend, batch, executor)
+        options = _options(backend, executor)
         session = CpprEngine(TimingAnalyzer(graph, constraints),
                              options).session()
         edits = _random_edits(random.Random(7), session.graph, 4)
@@ -121,9 +118,9 @@ class TestDelayEditEquivalence:
         _assert_matches_fresh(session, graph, constraints, [edits],
                               None, options)
 
-    def test_repeat_edits_of_one_edge(self, backend, batch, executor):
+    def test_repeat_edits_of_one_edge(self, backend, executor):
         graph, constraints = random_small(31)
-        options = _options(backend, batch, executor)
+        options = _options(backend, executor)
         session = CpprEngine(TimingAnalyzer(graph, constraints),
                              options).session()
         session.top_paths(4, "setup")
@@ -138,10 +135,10 @@ class TestDelayEditEquivalence:
 
 
 class TestClockEditEquivalence:
-    @pytest.mark.parametrize("backend,batch,executor", CONFIGS)
-    def test_clock_edit(self, backend, batch, executor):
+    @pytest.mark.parametrize("backend,executor", CONFIGS)
+    def test_clock_edit(self, backend, executor):
         graph, constraints = random_small(37)
-        options = _options(backend, batch, executor)
+        options = _options(backend, executor)
         session = CpprEngine(TimingAnalyzer(graph, constraints),
                              options).session()
         session.top_paths(5, "hold")
@@ -156,7 +153,7 @@ class TestClockEditEquivalence:
 
     def test_combined_clock_and_delay_batch(self):
         graph, constraints = random_small(41)
-        options = _options("scalar", "off", "serial")
+        options = _options("scalar", "serial")
         session = CpprEngine(TimingAnalyzer(graph, constraints),
                              options).session()
         session.top_paths(6, "setup")
@@ -176,7 +173,7 @@ class TestSessionHousekeeping:
     def test_noop_update_changes_nothing(self):
         graph, constraints = random_small(43)
         session = CpprEngine(TimingAnalyzer(graph, constraints),
-                             _options("scalar", "off", "serial")
+                             _options("scalar", "serial")
                              ).session()
         before = _keys(session.top_paths(4, "setup"))
         summary = session.update()
@@ -191,7 +188,7 @@ class TestSessionHousekeeping:
 
     def test_unedited_session_matches_parent_engine(self):
         graph, constraints = random_small(47)
-        options = _options("scalar", "off", "serial")
+        options = _options("scalar", "serial")
         engine = CpprEngine(TimingAnalyzer(graph, constraints), options)
         session = engine.session()
         for mode in MODES:
@@ -201,7 +198,7 @@ class TestSessionHousekeeping:
     def test_parent_is_never_mutated(self):
         graph, constraints = random_small(53)
         options = _options("array" if HAVE_NUMPY else "scalar",
-                           "off", "serial")
+                           "serial")
         engine = CpprEngine(TimingAnalyzer(graph, constraints), options)
         baseline = {mode: _keys(engine.top_paths(5, mode))
                     for mode in MODES}
@@ -224,7 +221,7 @@ class TestSessionHousekeeping:
 
     def test_select_prefix_serving(self):
         graph, constraints = random_small(59)
-        options = _options("scalar", "off", "serial")
+        options = _options("scalar", "serial")
         session = CpprEngine(TimingAnalyzer(graph, constraints),
                              options).session()
         full = session.top_paths(6, "setup")
@@ -243,7 +240,7 @@ class TestFallbackAndServing:
         fallback — and the answers are still bit-identical."""
         graph, constraints = random_small(61, num_ffs=16, num_gates=150,
                                           global_mix=0.9)
-        options = _options("scalar", "off", "serial")
+        options = _options("scalar", "serial")
         session = CpprEngine(TimingAnalyzer(graph, constraints),
                              options).session()
         session.top_paths(5, "setup")
@@ -272,7 +269,7 @@ class TestFallbackAndServing:
         families restamp, and answers are unchanged."""
         graph, constraints = random_small(67)
         session = CpprEngine(TimingAnalyzer(graph, constraints),
-                             _options("scalar", "off", "serial")
+                             _options("scalar", "serial")
                              ).session()
         before = _keys(session.top_paths(5, "setup"))
         tree = session.graph.clock_tree
@@ -291,7 +288,7 @@ class TestFallbackAndServing:
         """A small off-critical edit must keep at least one cached
         family (the sigma bound at work) while staying exact."""
         graph, constraints = random_small(71, num_ffs=8, num_gates=24)
-        options = _options("scalar", "off", "serial")
+        options = _options("scalar", "serial")
         session = CpprEngine(TimingAnalyzer(graph, constraints),
                              options).session()
         session.top_paths(3, "setup")
@@ -314,7 +311,7 @@ class TestChaosEndToEnd:
         the next query must *detect* the poisoned family, re-run it,
         and still return the exact answer."""
         graph, constraints = random_small(73)
-        options = _options("scalar", "off", "serial")
+        options = _options("scalar", "serial")
         session = CpprEngine(TimingAnalyzer(graph, constraints),
                              options).session()
         before = _keys(session.top_paths(5, "setup"))
@@ -333,7 +330,7 @@ class TestChaosEndToEnd:
 
 def test_process_executor_matches_fresh_engine():
     graph, constraints = random_small(79)
-    options = _options("scalar", "off", "process")
+    options = _options("scalar", "process")
     session = CpprEngine(TimingAnalyzer(graph, constraints),
                          options).session()
     edits = _random_edits(random.Random(13), session.graph, 3)
