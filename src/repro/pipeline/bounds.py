@@ -6,7 +6,8 @@ is through a path that *crosses an edited edge*: every other heap entry
 of the deviation search is bit-identical (same seeds, same state, same
 costs).  This module computes, per state row, a lower bound ``sigma``
 on the ranking slack of **any** path through **any** edited run —
-under both the old and the new delays — via one backward min-sweep:
+under both the old and the new delays — via one backward min-sweep
+over the fanout cone of the edited sinks:
 
 * setup: ``R[x] = min`` over captures/paths of ``cap(c) - dist_late(x
   -> c)`` seeded with ``cap = at_early + period - t_setup`` at each
@@ -17,6 +18,17 @@ under both the old and the new delays — via one backward min-sweep:
 * hold: the mirror image with ``G`` seeded ``-(at_late + t_hold)``,
   relaxed ``G[u] = min(G[u], early(u, v) + G[v])``, and
   ``sigma = T[u] + pess_early(run) + G[v]``.
+
+Sweeping only the cone is exact, not an approximation.  ``sigma`` reads
+``R``/``G`` only at edited sinks ``v``, and ``R[v]`` is a min over paths
+*leaving* ``v``: it depends only on the pins, edge delays and capture
+seeds of ``v``'s fanout cone.  Any fanout-closed pin set that holds
+every edited sink — the session's dirty cone, or the union cone a
+multi-corner session shares — therefore gives every ``R[v]`` the same
+float a whole-graph sweep computes, by the same per-edge arithmetic,
+with only the D pins inside the set seeded.  The whole graph is swept
+only without a cone (the session's full-rebuild fallback), vectorized
+on the array substrate.
 
 ``pess`` pessimizes each edited run over every delay value it held
 during the update batch (old and new), so ``sigma`` bounds the cached
@@ -39,6 +51,7 @@ from __future__ import annotations
 
 from repro.circuit.graph import TimingGraph
 from repro.cppr.grouping import group_for_level
+from repro.obs import collector as _obs
 from repro.pipeline.state import ModeState
 
 __all__ = ["SIGMA_SLOP", "sigma_min"]
@@ -49,37 +62,27 @@ _INF = float("inf")
 SIGMA_SLOP = 1e-9
 
 
-def _capture_constants(graph: TimingGraph, is_setup: bool,
-                       clock_period: float) -> dict[int, float]:
-    """``{d_pin: seed}`` over all flip-flops (the ungrouped rows)."""
+def _capture_seed(graph: TimingGraph, ff_index: int, is_setup: bool,
+                  clock_period: float) -> float:
+    """The sweep's seed at flip-flop ``ff_index``'s D pin."""
+    ff = graph.ffs[ff_index]
     tree = graph.clock_tree
-    caps: dict[int, float] = {}
-    for ff in graph.ffs:
-        if is_setup:
-            caps[ff.d_pin] = (tree.at_early(ff.tree_node) + clock_period
-                              - ff.t_setup)
-        else:
-            caps[ff.d_pin] = -(tree.at_late(ff.tree_node) + ff.t_hold)
-    return caps
+    if is_setup:
+        return tree.at_early(ff.tree_node) + clock_period - ff.t_setup
+    return -(tree.at_late(ff.tree_node) + ff.t_hold)
 
 
-def _row_caps(graph: TimingGraph, state: ModeState, rows: list[int],
-              clock_period: float, backend: str) -> list[dict[int, float]]:
-    """Per requested row, the capture seeds it participates in."""
-    is_setup = state.mode.is_setup
-    all_caps = _capture_constants(graph, is_setup, clock_period)
+def _row_groups(graph: TimingGraph, state: ModeState, rows: list[int],
+                backend: str) -> list[list[int] | None]:
+    """Per requested row, its level's group column.
+
+    A flip-flop's capture seeds the row iff its group is ``>= 0``;
+    ``None`` (the self-loop and primary-input rows) seeds every one.
+    """
     tree = graph.clock_tree
     num_levels = len(state.levels)
-    per_row = []
-    for row in rows:
-        if row < num_levels:
-            grouping = group_for_level(tree, row, graph.num_ffs, backend)
-            per_row.append({ff.d_pin: all_caps[ff.d_pin]
-                            for ff in graph.ffs
-                            if grouping.participates(ff.index)})
-        else:
-            per_row.append(all_caps)
-    return per_row
+    return [group_for_level(tree, row, graph.num_ffs, backend).group
+            if row < num_levels else None for row in rows]
 
 
 def _evaluate(state: ModeState, rows: list[int], reach, runs,
@@ -87,7 +90,7 @@ def _evaluate(state: ModeState, rows: list[int], reach, runs,
               is_setup: bool) -> dict[int, float]:
     """Fold the sweep results into one ``sigma`` per requested row.
 
-    ``reach(i, v)`` is row ``i``'s ``R``/``G`` value at pin ``v``.
+    ``reach[i][v]`` is row ``i``'s ``R``/``G`` value at pin ``v``.
     """
     num_levels = len(state.levels)
     result: dict[int, float] = {}
@@ -95,9 +98,10 @@ def _evaluate(state: ModeState, rows: list[int], reach, runs,
         state_row = state.row(row)
         time = (state_row.time0 if row < num_levels else state_row.time)
         olds = old_times[row]
+        row_reach = reach[i]
         sigma = _INF
         for u, v, pess in runs:
-            r = reach(i, v)
+            r = float(row_reach[v])
             if r == _INF:
                 continue
             t = time[u]
@@ -119,45 +123,99 @@ def sigma_min(graph: TimingGraph, core, state: ModeState,
               rows: list[int],
               runs: list[tuple[int, int, float]],
               old_times: list[dict[int, float]],
-              clock_period: float, substrate: str) -> dict[int, float]:
+              clock_period: float, substrate: str,
+              cone: list[int] | None = None) -> dict[int, float]:
     """Per requested row, the min ``sigma`` over all edited runs.
 
     ``runs`` holds ``(u, v, pess)`` with ``pess`` already pessimized
     over every value the run held during the batch (late-max for setup,
     early-min for hold).  ``old_times`` is :func:`~repro.pipeline.state
-    .replay`'s per-row pre-edit primary times.  Rows a run cannot reach
-    (or with no arrival at any edited source) get ``+inf`` — served
-    even against an exhausted family's infinite boundary.
+    .replay`'s per-row pre-edit primary times.  ``cone`` is a
+    fanout-closed pin list in topological order holding every edited
+    sink ``v`` (the session's dirty cone); ``None`` sweeps the whole
+    graph.  Rows a run cannot reach (or with no arrival at any edited
+    source) get ``+inf`` — served even against an exhausted family's
+    infinite boundary.
     """
     if not rows or not runs:
         return {row: _INF for row in rows}
     is_setup = state.mode.is_setup
     backend = "array" if substrate == "array" else "scalar"
-    caps_per_row = _row_caps(graph, state, rows, clock_period, backend)
+    groups = _row_groups(graph, state, rows, backend)
 
-    if substrate == "array" and core is not None:
-        reach = _sweep_numpy(core, rows, caps_per_row, runs, is_setup)
+    if cone is None:
+        _obs.add("pipeline.bounds.full")
+    pins = graph.topo_order if cone is None else cone
+    _obs.add("pipeline.bounds.pins", len(pins))
+    if cone is None and substrate == "array" and core is not None:
+        reach = _sweep_numpy(graph, core, groups, runs, is_setup,
+                             clock_period)
     else:
-        reach = _sweep_python(graph, rows, caps_per_row, runs, is_setup)
+        reach = _sweep(graph, pins, groups, runs, is_setup, clock_period)
     return _evaluate(state, rows, reach, runs, old_times, is_setup)
 
 
-def _sweep_numpy(core, rows, caps_per_row, runs, is_setup):
+def _sweep(graph: TimingGraph, pins: list[int], groups, runs,
+           is_setup: bool, clock_period: float) -> list[dict[int, float]]:
+    """Backward min-sweep of every row over ``pins``, in Python.
+
+    ``pins`` is in topological order and fanout-closed (every fanout
+    target of a member is a member): the whole ``topo_order`` is the
+    scalar reference, a dirty cone the fast path.  Only the D pins in
+    ``pins`` are seeded.  Returns per-row ``{pin: R}`` dicts.
+    """
+    overrides = {(u, v): pess for u, v, pess in runs}
+    fanout = graph.fanout
+    ff_of_d_pin = graph.ff_of_d_pin
+    reach: list[dict[int, float]] = [{} for _ in groups]
+    for u in reversed(pins):
+        ff = ff_of_d_pin.get(u)
+        cap = (_INF if ff is None
+               else _capture_seed(graph, ff, is_setup, clock_period))
+        edges = [(v, overrides.get((u, v), late if is_setup else early))
+                 for v, early, late in fanout[u]]
+        for row_reach, group in zip(reach, groups):
+            # ``cap`` is already +inf at a pin that is no D pin.
+            best = (cap if ff is None or group is None or group[ff] >= 0
+                    else _INF)
+            for v, delay in edges:
+                rv = row_reach[v]
+                if rv == _INF:
+                    continue
+                cand = rv - delay if is_setup else delay + rv
+                if cand < best:
+                    best = cand
+            row_reach[u] = best
+    return reach
+
+
+def _sweep_numpy(graph: TimingGraph, core, groups, runs, is_setup: bool,
+                 clock_period: float):
+    """The whole-graph sweep, vectorized per level bucket.
+
+    Returns a ``(rows, num_pins)`` array.
+    """
     import numpy as np
 
     structure = core.structure
-    n = structure.num_pins
     pess_col = (core.edge_late if is_setup else core.edge_early).astype(
         np.float64, copy=True)
     for u, v, pess in runs:
         lo, hi = structure.edge_run(u, v)
         pess_col[lo:hi] = pess
 
-    reach = np.full((len(rows), n), _INF)
-    for i, caps in enumerate(caps_per_row):
-        for pin, cap in caps.items():
-            if cap < reach[i, pin]:
-                reach[i, pin] = cap
+    ff_of_d_pin = graph.ff_of_d_pin
+    d_pins = np.fromiter(ff_of_d_pin.keys(), np.int64, len(ff_of_d_pin))
+    ffs = np.fromiter(ff_of_d_pin.values(), np.int64, len(ff_of_d_pin))
+    caps = np.array([_capture_seed(graph, ff, is_setup, clock_period)
+                     for ff in ffs.tolist()], dtype=np.float64)
+    reach = np.full((len(groups), structure.num_pins), _INF)
+    for i, group in enumerate(groups):
+        if group is None:
+            reach[i, d_pins] = caps
+        else:
+            seeded = np.asarray(group, dtype=np.int64)[ffs] >= 0
+            reach[i, d_pins[seeded]] = caps[seeded]
 
     for positions, sstarts, ssrc, dst_by_src in (
             structure.backward_geometry()):
@@ -167,39 +225,4 @@ def _sweep_numpy(core, rows, caps_per_row, runs, is_setup):
             cand = pess_col[positions] + reach[:, dst_by_src]
         red = np.minimum.reduceat(cand, sstarts, axis=1)
         reach[:, ssrc] = np.minimum(reach[:, ssrc], red)
-
-    def lookup(i: int, v: int) -> float:
-        return float(reach[i, v])
-
-    return lookup
-
-
-def _sweep_python(graph: TimingGraph, rows, caps_per_row, runs, is_setup):
-    overrides = {(u, v): pess for u, v, pess in runs}
-    fanout = graph.fanout
-    order = list(reversed(graph.topo_order))
-    matrices = []
-    for caps in caps_per_row:
-        reach = [_INF] * graph.num_pins
-        for pin, cap in caps.items():
-            if cap < reach[pin]:
-                reach[pin] = cap
-        for u in order:
-            best = reach[u]
-            for v, delay_early, delay_late in fanout[u]:
-                rv = reach[v]
-                if rv == _INF:
-                    continue
-                delay = overrides.get((u, v))
-                if delay is None:
-                    delay = delay_late if is_setup else delay_early
-                cand = rv - delay if is_setup else delay + rv
-                if cand < best:
-                    best = cand
-            reach[u] = best
-        matrices.append(reach)
-
-    def lookup(i: int, v: int) -> float:
-        return matrices[i][v]
-
-    return lookup
+    return reach

@@ -19,7 +19,8 @@ queries by redoing only the work the edit invalidated —
   flip-flop participates in it, clock-driven time changes left its
   rows untouched, and — for delay edits — the
   :func:`~repro.pipeline.bounds.sigma_min` lower bound on any
-  edit-crossing path's slack strictly clears the family's cached k-th
+  edit-crossing path's slack (swept over the same dirty cone, not the
+  whole graph) strictly clears the family's cached k-th
   slack (which simultaneously proves every cached slack exact, since a
   stale cached path would itself cross a run and drag ``sigma`` to or
   below the boundary);
@@ -39,7 +40,8 @@ family over graphs that share a single
 applies the edit to every corner and pays the dirty-cone computation
 **once** (the cone is pure topology, identical across corners) while
 sigma revalidation stays per corner (old delay values differ, so the
-bounds do too).  See ``docs/MCMM.md``.
+bounds do too), each corner's sigma sweep running over the shared
+cone.  See ``docs/MCMM.md``.
 """
 
 from __future__ import annotations
@@ -284,19 +286,21 @@ class CpprSession:
         ``cone`` injects a precomputed dirty cone (``None`` = full
         rebuild); :class:`MultiCornerSession` passes the union cone it
         computed once for all corners — a superset cone is exact,
-        since replaying a clean pin recomputes its unchanged value.
+        since replaying a clean pin recomputes its unchanged value and
+        the sigma sweep reads only the fanout cones of edited sinks.
         """
         _obs.add("pipeline.update.edits", num_delays + len(dirty_ffs))
 
-        changed, old_times, full_rebuild, dirty = self._refresh_states(
+        changed, old_times, cone, dirty = self._refresh_states(
             roots, run_vals, cone)
         kept, dropped = self._revalidate_families(
-            dirty_ffs, run_vals, changed, old_times)
+            dirty_ffs, run_vals, changed, old_times, cone)
         self._select.purge(keys=[key for key, basis, _
                                  in self._select.entries()
                                  if basis != self._basis])
         self._invalidate_analyzer()
 
+        full_rebuild = cone is None
         num_pins = max(1, self.graph.num_pins)
         self.last_dirty_fraction = (1.0 if full_rebuild
                                     else dirty / num_pins)
@@ -330,19 +334,21 @@ class CpprSession:
                 break
 
     def _refresh_states(self, roots: set[int], run_vals: dict,
-                        cone=_UNSET) -> tuple[dict, dict, bool, int]:
+                        cone=_UNSET) -> tuple[dict, dict, list | None,
+                                              int]:
         """Replay (or rebuild) every built mode state over the edit.
 
         ``cone`` is normally computed here; a multi-corner update
         injects its shared union cone instead (``None`` = full
         rebuild).  Returns per-mode changed-pin rows, per-mode old
-        primary times, whether the full-rebuild fallback ran, and the
-        dirty pin count.
+        primary times, the replayed cone (``None`` after the
+        full-rebuild fallback, empty when no mode state is built yet
+        and nothing replays) and the dirty pin count.
         """
         changed: dict[AnalysisMode, list[set[int]]] = {}
         old_times: dict[AnalysisMode, list[dict[int, float]]] = {}
         if not self._states:
-            return changed, old_times, False, len(roots)
+            return changed, old_times, [], len(roots)
 
         if cone is _UNSET:
             positions = self._topo_positions()
@@ -361,7 +367,7 @@ class CpprSession:
                     changed[mode], old_times[mode] = diff_states(state,
                                                                  fresh)
                     self._states[mode] = fresh
-            return changed, old_times, True, self.graph.num_pins
+            return changed, old_times, None, self.graph.num_pins
 
         _obs.add("pipeline.dirty_pins", len(cone))
         _DIRTY_PINS.labels(corner=self.corner).observe(len(cone))
@@ -377,15 +383,22 @@ class CpprSession:
                 if self._core is not None:
                     refresh_costs(state, self._core, changed[mode],
                                   edited_positions)
-        return changed, old_times, False, len(cone)
+        return changed, old_times, cone, len(cone)
 
     # ------------------------------------------------------------------
     # Family revalidation (the serve-or-drop decision)
     # ------------------------------------------------------------------
     def _revalidate_families(self, dirty_ffs: list[int], run_vals: dict,
-                             changed: dict,
-                             old_times: dict) -> tuple[int, int]:
-        """Restamp provably-unaffected cached families; drop the rest."""
+                             changed: dict, old_times: dict,
+                             cone: list[int] | None) -> tuple[int, int]:
+        """Restamp provably-unaffected cached families; drop the rest.
+
+        ``cone`` is the replayed dirty cone (``None`` after a full
+        rebuild): it holds every edited sink and is fanout-closed, so
+        the sigma sweep runs over it instead of the whole graph.  It is
+        empty only when no mode state is built, and then every family
+        drops before any sweep.
+        """
         entries = self._families.entries()
         if not entries:
             return 0, 0
@@ -459,7 +472,7 @@ class CpprSession:
                 sigmas[mode] = sigma_min(
                     self.graph, self._core, self._states[mode],
                     sorted(rows), runs, old_times[mode], clock_period,
-                    self.backend)
+                    self.backend, cone)
 
         for item in survivors:
             if item is None:
@@ -654,10 +667,10 @@ class MultiCornerSession:
     the dirty-cone traversal **once**: the cone is pure fanout
     topology, identical across corners, so the union cone (over every
     corner's roots) is computed on one graph and injected into each
-    corner's replay.  Replaying a superset cone is exact — a clean pin
-    recomputes its unchanged value — while sigma revalidation stays
-    per corner, because the *old* delay values (the pessimization
-    domain of the bounds) differ between corners.
+    corner's replay and sigma sweep.  Replaying a superset cone is
+    exact — a clean pin recomputes its unchanged value — while sigma
+    revalidation stays per corner, because the *old* delay values (the
+    pessimization domain of the bounds) differ between corners.
 
     Queries take a ``corner=`` name, mirroring the multi-corner
     :class:`~repro.cppr.engine.CpprEngine` query surface

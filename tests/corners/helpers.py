@@ -38,16 +38,20 @@ def random_corner_set(graph, seed: int, count: int = 3) -> CornerSet:
     return CornerSet(corners)
 
 
-def random_edits(graph, rng: random.Random,
-                 count: int) -> list[DelayUpdate]:
-    """Random in-place delay edits (the ECO-session vocabulary)."""
+def random_edits(graph, rng: random.Random, count: int,
+                 spread: float = 0.5) -> list[DelayUpdate]:
+    """Random in-place delay edits (the ECO-session vocabulary).
+
+    Each delay is scaled by a factor within ``1 +- spread``: small
+    spreads tend to keep cached families, large ones drop them.
+    """
     edges = [(u, v, e, l) for u in range(graph.num_pins)
              for (v, e, l) in graph.fanout[u]]
     rng.shuffle(edges)
     edits = []
     for u, v, early, late in edges[:count]:
-        a = early * rng.uniform(0.5, 1.5)
-        b = late * rng.uniform(0.5, 1.5)
+        a = early * rng.uniform(1 - spread, 1 + spread)
+        b = late * rng.uniform(1 - spread, 1 + spread)
         edits.append(DelayUpdate(u, v, min(a, b), max(a, b)))
     return edits
 
