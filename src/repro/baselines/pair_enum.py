@@ -36,10 +36,15 @@ from repro.sta.timing import TimingAnalyzer
 __all__ = ["PairEnumTimer"]
 
 
-def _analyze_endpoint(analyzer: TimingAnalyzer, ff_index: int, k: int,
+def _analyze_endpoint(design: str, ff_index: int, k: int,
                       mode: AnalysisMode,
                       backend: str = "scalar") -> list[tuple[float, tuple]]:
-    """Top-k (slack, pins) for one capturing flip-flop."""
+    """Top-k (slack, pins) for one capturing flip-flop of the analyzer
+    published as ``design`` (a :func:`repro.cppr.shard.publish_design`
+    token: process workers resolve the analyzer inherited at fork)."""
+    from repro.cppr import shard
+
+    analyzer = shard.resolve_design(design)
     graph = analyzer.graph
     tree = graph.clock_tree
     capture = graph.ffs[ff_index]
@@ -102,7 +107,9 @@ class PairEnumTimer:
         if self.backend == "array":
             from repro.core.arrays import get_core
             get_core(graph)  # build once; workers inherit the cache
-        args = [(self.analyzer, ff.index, k, mode, self.backend)
+        from repro.cppr import shard
+        design = shard.publish_design(self.analyzer)
+        args = [(design, ff.index, k, mode, self.backend)
                 for ff in graph.ffs]
         per_endpoint = run_tasks(_analyze_endpoint, args,
                                  executor=self.executor,

@@ -131,13 +131,11 @@ class CoreStructure:
                  "edge_src", "edge_dst", "level_ptr", "bucket_spans",
                  "fanin_ptr", "fanin_src", "fanin_dst",
                  "fanin_ptr_list", "fanin_src_list", "fanin_dst_list",
-                 "_backward_geo", "_fanin_by_src", "shm_layout",
-                 "__weakref__")
+                 "_backward_geo", "_fanin_by_src", "__weakref__")
 
     def __init__(self) -> None:
         self._backward_geo = None
         self._fanin_by_src = None
-        self.shm_layout = None
 
     # ------------------------------------------------------------------
     # Edge/fanin run location (parallel edges share one run)
@@ -205,75 +203,6 @@ class CoreStructure:
                 self.fanin_src[order], np.arange(self.num_pins + 1))
             self._fanin_by_src = (order.tolist(), starts.tolist())
         return self._fanin_by_src
-
-    # ------------------------------------------------------------------
-    # The shared-memory plane
-    # ------------------------------------------------------------------
-    def to_shared(self, kind: str = "structure"):
-        """Publish the index columns into a shared-memory segment.
-
-        Rebinds this object's arrays to segment-backed views (the list
-        mirrors and lazy geometries are untouched — they are process
-        local by design) and returns the picklable
-        :class:`repro.core.shm.BufferLayout`.  Idempotent: a second
-        call returns the existing layout.
-        """
-        from repro.core import shm as _shm
-        if self.shm_layout is not None:
-            return self.shm_layout
-        layout, views = _shm.REGISTRY.publish(
-            kind,
-            {"level_of": self.level_of, "edge_src": self.edge_src,
-             "edge_dst": self.edge_dst, "level_ptr": self.level_ptr,
-             "fanin_ptr": self.fanin_ptr, "fanin_src": self.fanin_src,
-             "fanin_dst": self.fanin_dst},
-            version=0,
-            meta={"num_pins": self.num_pins, "num_edges": self.num_edges,
-                  "num_levels": self.num_levels})
-        self.level_of = views["level_of"]
-        self.edge_src = views["edge_src"]
-        self.edge_dst = views["edge_dst"]
-        self.level_ptr = views["level_ptr"]
-        self.fanin_ptr = views["fanin_ptr"]
-        self.fanin_src = views["fanin_src"]
-        self.fanin_dst = views["fanin_dst"]
-        self.shm_layout = layout
-        import weakref
-        weakref.finalize(self, _shm.REGISTRY.release, layout.segment)
-        return layout
-
-    @classmethod
-    def attach(cls, layout) -> "CoreStructure":
-        """Rebuild a structure from a published segment (read-only).
-
-        Everything derivable is rederived locally: the list mirrors,
-        the per-level ``bucket_spans``, and (lazily) the backward
-        geometry — only the seven index columns come from the segment.
-        """
-        from repro.core import shm as _shm
-        views = _shm.REGISTRY.views(layout, expected_version=0)
-        meta = layout.meta_dict
-        s = cls()
-        s.num_pins = int(meta["num_pins"])
-        s.num_edges = int(meta["num_edges"])
-        s.num_levels = int(meta["num_levels"])
-        s.level_of = views["level_of"]
-        s.edge_src = views["edge_src"]
-        s.edge_dst = views["edge_dst"]
-        s.level_ptr = views["level_ptr"]
-        s.fanin_ptr = views["fanin_ptr"]
-        s.fanin_src = views["fanin_src"]
-        s.fanin_dst = views["fanin_dst"]
-        s.fanin_ptr_list = s.fanin_ptr.tolist()
-        s.fanin_src_list = s.fanin_src.tolist()
-        s.fanin_dst_list = s.fanin_dst.tolist()
-        s.bucket_spans = []
-        for level in range(s.num_levels):
-            lo, hi = int(s.level_ptr[level]), int(s.level_ptr[level + 1])
-            if lo != hi:
-                s.bucket_spans.append((lo, hi))
-        s.shm_layout = layout
-        return s
 
 
 class CoreValues:
@@ -361,31 +290,6 @@ class CoreValues:
         import weakref
         weakref.finalize(self, _shm.REGISTRY.release, layout.segment)
         return layout
-
-    @classmethod
-    def attach(cls, layout, expected_version: int) -> "CoreValues":
-        """Values over a published segment, validated at a version.
-
-        Raises :class:`~repro.exceptions.ShmStaleError` when the
-        segment's version slot disagrees with ``expected_version`` —
-        the descriptor was minted before an in-place update.  The list
-        mirrors are *copies snapshotted now*; callers cache the result
-        keyed by ``(segment, version)`` so a later bump builds fresh
-        mirrors instead of serving stale ones.
-        """
-        from repro.core import shm as _shm
-        views = _shm.REGISTRY.views(layout,
-                                    expected_version=expected_version)
-        vals = cls(views["edge_early"], views["edge_late"],
-                   views["fanin_early"], views["fanin_late"])
-        # Materialize the scalar mirrors immediately — the arrays are
-        # views into a segment the publisher may rewrite later, so the
-        # "snapshotted now" contract above must not be lazy here.
-        vals._fanin_early_list = vals.fanin_early.tolist()
-        vals._fanin_late_list = vals.fanin_late.tolist()
-        vals._version = expected_version
-        vals.shm_layout = layout
-        return vals
 
 
 class CoreArrays:

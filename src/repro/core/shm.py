@@ -1,16 +1,16 @@
 """repro.core.shm — the zero-copy shared-memory plane.
 
-The process executor used to re-pickle the timing graph for every task,
-so multi-core scaling flattened almost immediately: fork + pickle cost
-grew with design size while per-task work stayed level-sized.  This
-module decouples the two.  A publisher (the engine, or a
-:class:`~repro.pipeline.session.CpprSession`) copies the flat numpy
-columns of :class:`~repro.core.arrays.CoreStructure` /
-:class:`~repro.core.arrays.CoreValues` into named
-``multiprocessing.shared_memory`` segments **once**; workers receive
-only a tiny picklable :class:`BufferLayout` descriptor over the pipe and
-map read-only views lazily, caching the attachment for the lifetime of
-the worker process.
+Process workers must see the array backend's columns without having
+them pickled per task, where the cost would grow with design size while
+per-task work stays level-sized.  The engine (through
+:mod:`repro.cppr.shard`) copies the flat numpy
+:class:`~repro.core.arrays.CoreValues` columns and each query's batched
+propagation matrices into named ``multiprocessing.shared_memory``
+segments **once**; workers receive only a tiny picklable
+:class:`BufferLayout` descriptor over the pipe and map read-only views
+lazily, caching the attachment for the lifetime of the worker process.
+The topology-only :class:`~repro.core.arrays.CoreStructure` is never
+published: workers inherit it at fork.
 
 Segment format
 --------------
@@ -71,7 +71,8 @@ except ImportError:  # pragma: no cover
 
 #: Whether this interpreter can host the memory plane at all.  The
 #: plane is numpy-only by construction: the scalar backend has no flat
-#: columns to map, and degrades through the ordinary pickling path.
+#: columns to map, and its workers read the design they inherited at
+#: fork.
 HAVE_SHM = _np is not None and _shared_memory is not None
 
 #: Segment header size; the first 8 bytes are the ``int64`` version slot.
@@ -106,8 +107,9 @@ def available() -> bool:
     ``False`` when the platform lacks ``shared_memory``/numpy — or when
     the ``shm.attach`` fault site is armed *unbounded* (``times=inf``),
     which is the supported way to simulate such a platform in CI: every
-    attach would fail forever, so the engine skips the plane entirely
-    and exercises the legacy pickling fallback.
+    attach would fail forever, so the engine publishes nothing, its
+    descriptors name no segment, and process workers read the design
+    and batch they inherited at fork.
     """
     if not HAVE_SHM:
         return False

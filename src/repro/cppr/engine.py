@@ -134,7 +134,7 @@ class CpprOptions:
 def _run_family(analyzer: TimingAnalyzer, task: tuple, k: int,
                 mode: AnalysisMode, heap_capacity: int | None,
                 backend: str, batch=None) -> list[TimingPath]:
-    """Dispatch one candidate-generation pass (module-level for pickling)."""
+    """Dispatch one candidate-generation pass."""
     kind = task[0]
     if kind == "level":
         return paths_at_level(analyzer, task[1], k, mode, heap_capacity,
@@ -161,7 +161,7 @@ def _run_family_resilient(analyzer: TimingAnalyzer, task: tuple, k: int,
     computes bit-for-bit identical paths without the batch.  Returns
     ``(paths, degradation_events)`` so the engine can surface what
     happened; deliberate library errors (:class:`ReproError`) and
-    strict mode propagate unchanged.  Module-level for pickling.
+    strict mode propagate unchanged.
     """
     events: list[dict] = []
     while True:
@@ -517,81 +517,63 @@ class CpprEngine:
                                          "source": self.backend,
                                          "target": backend,
                                          "error": repr(exc)})
-            # Shared-memory plane: on the array backend (when the
-            # platform supports it) each corner's value/batch columns
-            # are published once and the tasks become descriptor tuples
-            # — workers attach the segments instead of unpickling a
-            # fork payload.  All C designs publish before the single
-            # fan-out so the persistent pool forks exactly once.  The
-            # same descriptor path runs under every executor so spans
-            # and counters stay executor-independent.
+            # Every task crosses to its executor as a shard descriptor.
+            # On the array backend with shared memory up, each corner's
+            # value/batch columns are published once and workers attach
+            # the segments; otherwise workers read what they inherited
+            # at fork.  All C designs publish before the single fan-out
+            # so the persistent pool forks at most once.  The same
+            # descriptor path runs under every executor so spans and
+            # counters stay executor-independent.
+            from repro.cppr import shard as _shard
             task_index = [(name, analyzer, task)
                           for name, analyzer in items
                           for task in self._tasks()]
-            fn, process_pool = _run_family_resilient, "fork"
-            shard_ctxs: dict[str | None, object] = {}
-            args = [(analyzer, task, k, mode,
-                     self.options.heap_capacity, backend,
-                     batches[name] if task[0] == "level" else None,
-                     strict)
-                    for name, analyzer, task in task_index]
-            if backend == "array":
-                from repro.core import shm as _shm
-                if _shm.available():
-                    from repro.cppr import shard as _shard
-                    with _obs.span("stage", "shm_publish"):
-                        try:
-                            for name, analyzer in items:
-                                shard_ctxs[name] = _shard.open_query(
-                                    analyzer, batches[name], mode,
-                                    publish_batch=(
-                                        self.options.executor
-                                        == "process"))
-                        except ReproError:
-                            raise
-                        except Exception as exc:
-                            for ctx in shard_ctxs.values():
-                                ctx.close()
-                            shard_ctxs = {}
-                            if strict:
-                                raise ExecutionError(
-                                    "shared-memory publish failed in "
-                                    "strict mode") from exc
-                            degraded.append({"event": "degrade.shm",
-                                             "task": "publish",
-                                             "error": repr(exc)})
-                    if shard_ctxs:
-                        fn, process_pool = (_shard.run_family_descriptor,
-                                            "shared")
-                        args = [(shard_ctxs[name].descriptor(
-                                    task, k, mode,
-                                    self.options.heap_capacity,
-                                    backend, strict,
-                                    corner=self._corner_label(name)),)
-                                for name, _analyzer, task in task_index]
-            with _obs.span("stage", "families"):
-                try:
-                    packed = run_tasks(
-                        fn, args,
-                        executor=self.options.executor,
-                        workers=self.resolved_workers,
-                        task_timeout=self.options.task_timeout,
-                        max_retries=0 if strict
-                        else self.options.max_retries,
-                        retry_backoff=self.options.retry_backoff,
-                        fallback=not strict,
-                        events=degraded,
-                        process_pool=process_pool)
-                except ReproError:
-                    raise
-                except Exception as exc:
-                    raise ExecutionError(
-                        "candidate generation failed"
-                        + (" in strict mode" if strict else
-                           " after exhausting every fallback")) from exc
-                finally:
-                    for ctx in shard_ctxs.values():
-                        ctx.close()
+            shard_ctxs: dict[str | None, _shard.ShardContext] = {}
+            try:
+                with _obs.span("stage", "shm_publish"):
+                    for name, analyzer in items:
+                        ctx = shard_ctxs[name] = _shard.open_query(
+                            analyzer, batches[name], mode,
+                            publish_batch=(self.options.executor
+                                           == "process"))
+                        if ctx.error is None:
+                            continue
+                        if strict:
+                            raise ExecutionError(
+                                "shared-memory publish failed in strict "
+                                "mode") from ctx.error
+                        degraded.append({"event": "degrade.shm",
+                                         "task": "publish",
+                                         "error": repr(ctx.error)})
+                args = [(shard_ctxs[name].descriptor(
+                            task, k, mode, self.options.heap_capacity,
+                            backend, strict,
+                            corner=self._corner_label(name)),)
+                        for name, _analyzer, task in task_index]
+                with _obs.span("stage", "families"):
+                    try:
+                        packed = run_tasks(
+                            _shard.run_family_descriptor, args,
+                            executor=self.options.executor,
+                            workers=self.resolved_workers,
+                            task_timeout=self.options.task_timeout,
+                            max_retries=0 if strict
+                            else self.options.max_retries,
+                            retry_backoff=self.options.retry_backoff,
+                            fallback=not strict,
+                            events=degraded)
+                    except ReproError:
+                        raise
+                    except Exception as exc:
+                        raise ExecutionError(
+                            "candidate generation failed"
+                            + (" in strict mode" if strict else
+                               " after exhausting every fallback")
+                        ) from exc
+            finally:
+                for ctx in shard_ctxs.values():
+                    ctx.close()
         results: dict[str | None, list[TimingPath]] = {
             name: [] for name, _ in items}
         for (name, _analyzer, _task), (family, task_events) in zip(

@@ -9,10 +9,12 @@ CPU work, so true speedup requires processes.  Three strategies:
 * ``"thread"`` — a thread pool.  Structure-faithful to the paper but
   GIL-bound in CPython; provided for API completeness and for workloads
   dominated by allocator/IO time.
-* ``"process"`` — a ``fork`` process pool.  The analyzer is shared with
-  workers through fork-time memory inheritance (nothing is pickled going
-  in; only the small result path lists are pickled coming back), mirroring
-  the paper's shared-memory threading as closely as Python allows.
+* ``"process"`` — the persistent ``fork`` process pool of
+  :mod:`repro.cppr.shard`.  Each task's argument tuple is pickled, so
+  callers pass small descriptors or design tokens; the analyzer itself
+  reaches workers through fork-time memory inheritance (and the array
+  columns through shared memory when it is up), mirroring the paper's
+  shared-memory threading as closely as Python allows.
 
 The Figure 6 thread-scaling experiment uses the process executor.
 
@@ -49,8 +51,7 @@ import multiprocessing
 import os
 import threading
 import time
-from concurrent.futures import (Future, ProcessPoolExecutor,
-                                ThreadPoolExecutor)
+from concurrent.futures import Future, ThreadPoolExecutor
 from concurrent.futures import TimeoutError as _WaitTimeout
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
@@ -60,7 +61,7 @@ from repro import faults
 from repro.exceptions import AnalysisError, DeadlineExpired, ExecutionError
 from repro.obs import collector as _obs
 from repro.obs import metrics as _metrics
-from repro.obs.collector import Collector, collecting
+from repro.obs.collector import Collector
 from repro.obs.profile import Profile
 
 __all__ = ["available_executors", "check_deadline", "deadline_scope",
@@ -79,16 +80,10 @@ FALLBACK_LADDER = {
     "serial": ("serial",),
 }
 
-#: Guards the fork payload: concurrent ``run_tasks`` calls from
-#: different threads serialize here instead of clobbering each other's
-#: payload (or spuriously reporting nesting).
-_FORK_LOCK = threading.Lock()
-_FORK_PAYLOAD: tuple[Callable[..., Any], Sequence[tuple], bool] | None = None
-
-#: ``True`` only in forked worker processes (set by :func:`_fork_entry`,
-#: inherited ``False`` everywhere else).  This is what makes the nesting
-#: check genuinely about nesting: only a *worker* that tries to start
-#: another fork pool is rejected.
+#: ``True`` only in forked worker processes (set by the pool initializer
+#: in :mod:`repro.cppr.shard`, ``False`` everywhere else).  This is what
+#: makes the nesting check genuinely about nesting: only a *worker* that
+#: tries to start another fork pool is rejected.
 _IN_FORK_WORKER = False
 
 
@@ -156,25 +151,6 @@ def _call_task(fn: Callable[..., Any], args: tuple) -> Any:
         faults.check("task.timeout")
         faults.check("task.crash")
     return fn(*args)
-
-
-def _fork_entry(index: int) -> tuple[Any, dict | None]:
-    """Run task ``index`` of the fork-inherited payload (worker side).
-
-    When the parent was collecting, the worker runs its task under a
-    fresh sub-collector (replacing the fork-inherited parent collector)
-    and ships the profile back as a dict for the parent to merge.
-    """
-    global _IN_FORK_WORKER
-    _IN_FORK_WORKER = True
-    faults.mark_worker_process()
-    assert _FORK_PAYLOAD is not None, "fork payload missing in worker"
-    fn, args_list, collect = _FORK_PAYLOAD
-    if not collect:
-        return _call_task(fn, args_list[index]), None
-    with collecting(Collector()) as sub:
-        result = _call_task(fn, args_list[index])
-    return result, sub.profile().to_dict()
 
 
 def _thread_entry(fn: Callable[..., Any], args: tuple,
@@ -299,30 +275,25 @@ def _collect_wave(rung, futures, order, results, payloads, done,
 
 def _run_pool_rung(rung, fn, args_list, pending, results, payloads, done,
                    col, workers, task_timeout, max_retries, retry_backoff,
-                   events, process_pool="fork") -> BaseException | None:
-    """Run ``pending`` tasks on a thread or fork-process pool.
+                   events) -> BaseException | None:
+    """Run ``pending`` tasks on a thread pool or the shared fork pool.
 
     Marks completed tasks done; leaves failed/timed-out/orphaned tasks
     undone for the next rung.  Never raises on task or pool failure —
     the returned exception (if any) is the last failure observed, kept
     for error chaining if the ladder runs out.
 
-    ``process_pool`` selects the process-rung strategy: ``"fork"`` (the
-    legacy per-call pool fed through the fork-inherited payload) or
-    ``"shared"`` (the persistent :mod:`repro.cppr.shard` pool fed
-    per-task argument tuples — used with descriptor tasks, whose
-    arguments are tiny by construction).  A broken shared pool is
-    retired through :func:`repro.cppr.shard.handle_broken_pool`, which
-    also sweeps the ephemeral batch segments.
+    The process rung submits per-task argument tuples to the persistent
+    :mod:`repro.cppr.shard` pool, holding ``shard.POOL_LOCK`` until its
+    last result.  A broken pool is retired through
+    :func:`repro.cppr.shard.handle_broken_pool`, which also sweeps the
+    ephemeral batch segments.
     """
+    from repro.cppr import shard
+
     if workers is None:
         workers = min(len(pending), os.cpu_count() or 1)
     workers = max(1, workers)
-    shared = rung == "process" and process_pool == "shared"
-    if shared:
-        from repro.cppr import shard
-    else:
-        shard = None
 
     if rung == "process":
         try:
@@ -330,27 +301,21 @@ def _run_pool_rung(rung, fn, args_list, pending, results, payloads, done,
         except BrokenProcessPool as exc:
             _record(events, col, "faults.pool_broken", rung=rung,
                     error=repr(exc))
-            if shared:
-                shard.handle_broken_pool()
+            shard.handle_broken_pool()
             return exc
         if _IN_FORK_WORKER:
             raise AnalysisError(
                 "nested process-executor runs are not supported: a fork "
                 "worker cannot start another fork pool")
-        context = multiprocessing.get_context("fork")
-        lock = None if shared else _FORK_LOCK
+        # Held until the rung's last result, so another thread's
+        # re-fork or retire cannot pull the pool from under its tasks.
+        shard.POOL_LOCK.acquire()
     else:
-        context = None
-        lock = None
+        pool = ThreadPoolExecutor(max_workers=workers)
 
-    global _FORK_PAYLOAD
-    pool = None
-    owns_pool = not shared
     last_exc: BaseException | None = None
-    if lock is not None:
-        lock.acquire()
     try:
-        if shared:
+        if rung == "process":
             try:
                 pool = shard.ensure_pool(workers)
             except Exception as exc:
@@ -363,16 +328,7 @@ def _run_pool_rung(rung, fn, args_list, pending, results, payloads, done,
             def submit(i: int) -> Future:
                 return pool.submit(shard.worker_entry, fn, args_list[i],
                                    col is not None, plan_state)
-        elif rung == "process":
-            _FORK_PAYLOAD = (fn, args_list, col is not None)
-            pool = ProcessPoolExecutor(max_workers=workers,
-                                       mp_context=context)
-
-            def submit(i: int) -> Future:
-                return pool.submit(_fork_entry, i)
         else:
-            pool = ThreadPoolExecutor(max_workers=workers)
-
             def submit(i: int) -> Future:
                 return pool.submit(_thread_entry, fn, args_list[i], col)
 
@@ -384,16 +340,14 @@ def _run_pool_rung(rung, fn, args_list, pending, results, payloads, done,
             except BrokenProcessPool as exc:
                 _record(events, col, "faults.pool_broken", rung=rung,
                         error=repr(exc))
-                if shared:
-                    shard.handle_broken_pool()
+                shard.handle_broken_pool()
                 return exc
             failed, broken, exc = _collect_wave(
                 rung, futures, to_run, results, payloads, done,
                 task_timeout, events, col)
             last_exc = exc or last_exc
             if broken:
-                if shared:
-                    shard.handle_broken_pool()
+                shard.handle_broken_pool()
                 break
             if not failed:
                 break
@@ -406,11 +360,9 @@ def _run_pool_rung(rung, fn, args_list, pending, results, payloads, done,
             attempt += 1
             to_run = failed
     finally:
-        if rung == "process" and not shared:
-            _FORK_PAYLOAD = None
-        if lock is not None:
-            lock.release()
-        if pool is not None and owns_pool:
+        if rung == "process":
+            shard.POOL_LOCK.release()
+        else:
             pool.shutdown(wait=False, cancel_futures=True)
     return last_exc
 
@@ -422,12 +374,12 @@ def run_tasks(fn: Callable[..., Any], args_list: Sequence[tuple],
               max_retries: int = 0,
               retry_backoff: float = 0.05,
               fallback: bool = True,
-              events: list | None = None,
-              process_pool: str = "fork") -> list[Any]:
+              events: list | None = None) -> list[Any]:
     """Apply ``fn`` to each argument tuple, preserving input order.
 
     ``fn`` must be a module-level (picklable-by-reference) callable when
-    the process executor is used, and must be a *pure* function of its
+    the process executor is used, its arguments small and picklable
+    (they are pickled per task), and it must be a *pure* function of its
     arguments: the scheduler re-runs tasks after faults, so repeated
     execution must be harmless and deterministic.
 
@@ -449,11 +401,6 @@ def run_tasks(fn: Callable[..., Any], args_list: Sequence[tuple],
     ``events``
         A caller-owned list; every fault/degradation event is appended
         as a dict (``{"event": "faults.task_timeout", "task": 3, ...}``).
-    ``process_pool``
-        Process-rung strategy: ``"fork"`` (legacy per-call pool with
-        the fork-inherited payload) or ``"shared"`` (the persistent
-        :mod:`repro.cppr.shard` pool; task arguments are pickled per
-        task, so use it only with small descriptor arguments).
     """
     if executor not in FALLBACK_LADDER:
         raise AnalysisError(
@@ -504,7 +451,7 @@ def run_tasks(fn: Callable[..., Any], args_list: Sequence[tuple],
             exc = _run_pool_rung(rung, fn, args_list, pending, results,
                                  payloads, done, col, workers,
                                  task_timeout, max_retries, retry_backoff,
-                                 events, process_pool)
+                                 events)
             last_exc = exc or last_exc
 
     remaining = [i for i in range(n) if not done[i]]

@@ -6,7 +6,7 @@ fires (which hit indices, with what probability, how many times).  A
 :class:`FaultPlan` binds several specs together and tracks per-site hit
 counts, so schedules like "fail the third task once" are deterministic
 across runs — and across the ``serial``/``thread``/``process``
-executors, because forked workers inherit the armed plan.
+executors, because pool workers install the armed plan.
 
 The firing *action* is site-specific and models the real failure:
 
@@ -41,8 +41,9 @@ The firing *action* is site-specific and models the real failure:
                           that fails *forever* is indistinguishable
                           from a platform without
                           ``multiprocessing.shared_memory``, so the
-                          memory plane disables itself up front and the
-                          engine exercises its pickling/fork fallback.
+                          memory plane disables itself up front and
+                          process workers read what they inherited at
+                          fork.
 ``shm.stale``             raises :class:`~repro.exceptions
                           .ShmStaleError` at segment version
                           validation, as if a reader held a descriptor
@@ -68,12 +69,12 @@ The firing *action* is site-specific and models the real failure:
                           a partially-built design.
 ========================  ==============================================
 
-Persistent worker pools (:mod:`repro.cppr.shard`) outlive ``inject()``
-windows, so fork-time plan inheritance is not enough for them: the
-scheduler ships :func:`export_plan_state` with each task and workers
-apply it via :func:`install_plan_state`, which installs each armed plan
-*once per arming generation* — reproducing the per-worker-process
-trigger semantics of the fork-inherited ephemeral pools.
+The persistent worker pool (:mod:`repro.cppr.shard`) outlives
+``inject()`` windows, so fork-time plan inheritance is not enough for
+it: the scheduler ships :func:`export_plan_state` with each task and
+workers apply it via :func:`install_plan_state`, which installs each
+armed plan *once per arming generation* — the per-worker-process
+trigger semantics of a plan inherited at fork.
 """
 
 from __future__ import annotations

@@ -137,19 +137,6 @@ class CpprSession:
                                     structure=parent.structure,
                                     values=values)
             self.graph._core_arrays = self._core
-            # Back the session's private value columns with a shared
-            # segment when the memory plane is up: ``update()`` then
-            # patches the segment in place and the version slot bump
-            # (inside ``apply_value_updates``) lets any reader holding
-            # an older descriptor detect staleness instead of serving
-            # pre-edit delays.  Plain in-process arrays are the
-            # bit-identical fallback, so a failed publish is harmless.
-            from repro.core import shm as _shm
-            if _shm.available():
-                try:
-                    self._core.share_values()
-                except Exception:
-                    pass
             # Batched pad geometry and FF pin columns are topology-keyed;
             # share whatever the parent has already built.
             for attr in ("_batched_pads", "_batched_ff_columns"):

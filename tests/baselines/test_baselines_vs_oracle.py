@@ -7,7 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 from repro import (BlockBasedTimer, BranchBoundTimer, ExhaustiveTimer,
                    PairEnumTimer, TimingAnalyzer)
+from repro.cppr.parallel import available_executors
 from repro.exceptions import AnalysisError
+from repro.obs.collector import collecting
 from repro.sta.modes import AnalysisMode
 from tests.helpers import assert_slacks_equal, demo_analyzer, random_small
 
@@ -76,6 +78,21 @@ def test_pair_enum_parallel_executors_agree():
     threaded = PairEnumTimer(analyzer, executor="thread",
                              workers=2).top_slacks(10, "setup")
     assert_slacks_equal(serial, threaded)
+
+
+@pytest.mark.skipif("process" not in available_executors(),
+                    reason="no fork support")
+@pytest.mark.parametrize("mode", MODES)
+def test_pair_enum_process_executor_matches_serial(mode):
+    analyzer = analyzer_for(43)
+    want = PairEnumTimer(analyzer).top_paths(10, mode)
+    with collecting() as col:
+        got = PairEnumTimer(analyzer, executor="process",
+                            workers=2).top_paths(10, mode)
+    assert [(p.slack, p.credit, p.pins) for p in got] == \
+        [(p.slack, p.credit, p.pins) for p in want]
+    # The endpoints ran on the process rung, not a fallback.
+    assert col.profile().counter("degrade.executor") == 0
 
 
 def test_block_based_credit_table_shape():

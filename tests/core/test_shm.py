@@ -2,8 +2,7 @@
 
 Covers the ``repro.core.shm`` contract end to end — descriptor
 round-trips, version-slot staleness detection, refcounted unlink with
-the owner-pid guard — plus ``CoreStructure.to_shared`` /
-``CoreValues.to_shared`` and their ``attach`` inverses.  Everything
+the owner-pid guard — plus ``CoreArrays.share_values``.  Everything
 here runs in one process; the cross-process behavior rides the fork
 pool and is exercised by ``tests/cppr/test_shard.py`` and the chaos
 suite.
@@ -21,7 +20,7 @@ np = pytest.importorskip("numpy")
 from tests.helpers import random_small  # noqa: E402
 
 from repro.core import shm  # noqa: E402
-from repro.core.arrays import CoreStructure, CoreValues, get_core  # noqa: E402
+from repro.core.arrays import get_core  # noqa: E402
 from repro.exceptions import ShmAttachError, ShmStaleError  # noqa: E402
 from repro.faults import inject  # noqa: E402
 
@@ -168,48 +167,15 @@ class TestRegistryLifecycle:
 
 
 class TestCorePublication:
-    def test_structure_attach_reproduces_the_core(self):
-        graph, _constraints = random_small(11)
-        core = get_core(graph)
-        layout = core.structure.to_shared()
-        clone = CoreStructure.attach(layout)
-        assert clone.edge_src.tolist() == core.structure.edge_src.tolist()
-        assert clone.level_ptr.tolist() == core.structure.level_ptr.tolist()
-        assert clone.fanin_ptr_list == core.structure.fanin_ptr_list
-        assert clone.bucket_spans == core.structure.bucket_spans
-
-    def test_to_shared_is_idempotent(self):
-        graph, _constraints = random_small(12)
-        core = get_core(graph)
-        layout = core.structure.to_shared()
-        assert core.structure.to_shared() is layout
-
-    def test_values_attach_sees_owner_updates(self):
-        graph, _constraints = random_small(13)
-        core = get_core(graph)
-        layout = core.values.to_shared()
-        version = core.values.version
-        clone = CoreValues.attach(layout, expected_version=version)
-        assert clone.edge_late.tolist() == core.values.edge_late.tolist()
-        # In-place owner edit + version bump: the old version is now a
-        # detected stale read, the new one serves the edited value.
-        core.values.edge_late[0] += 1.25
-        core.values.version = version + 1
-        with pytest.raises(ShmStaleError):
-            CoreValues.attach(layout, expected_version=version)
-        fresh = CoreValues.attach(layout, expected_version=version + 1)
-        assert fresh.edge_late[0] == core.values.edge_late[0]
-
     def test_finalizers_unlink_on_collection(self):
         graph, _constraints = random_small(14)
         core = get_core(graph)
-        segments = {core.structure.to_shared().segment,
-                    core.share_values().segment}
-        assert segments <= _segment_files()
+        segment = core.share_values().segment
+        assert segment in _segment_files()
         del core
         graph._core_arrays = None
         gc.collect()
-        assert not (segments & _segment_files())
+        assert segment not in _segment_files()
 
     def test_share_values_rebinds_buckets_to_the_segment(self):
         graph, _constraints = random_small(15)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import sys
 import threading
 
 import pytest
@@ -58,14 +59,12 @@ class TestRunTasks:
 
 @pytest.mark.skipif("process" not in available_executors(),
                     reason="no fork support")
-class TestForkPayloadIsolation:
-    """The fork payload is shared module state; guard its two hazards."""
+class TestSharedPoolIsolation:
+    """The fork pool is shared module state; guard its two hazards."""
 
-    def test_concurrent_process_runs_do_not_clobber_payloads(self):
-        # Two threads race run_tasks(executor="process").  Before the
-        # payload was lock-protected, one call could fork workers that
-        # inherited the *other* call's payload (or see it cleared) and
-        # return wrong results.
+    def test_concurrent_process_runs_keep_their_results(self):
+        # Two threads race run_tasks(executor="process") on the one
+        # shared pool; each call must get back its own tasks' results.
         results: dict[str, list] = {}
         errors: list[BaseException] = []
 
@@ -88,8 +87,8 @@ class TestForkPayloadIsolation:
         assert results["b"] == [(100 + i) ** 2 for i in range(6)]
 
     def test_nesting_check_rejects_only_real_workers(self):
-        # The nesting guard must key on "am I a fork worker", not on
-        # payload presence — a sibling call's payload is not nesting.
+        # The nesting guard must key on "am I a fork worker", not on a
+        # sibling call's pool being busy — that is not nesting.
         original = parallel._IN_FORK_WORKER
         parallel._IN_FORK_WORKER = True
         try:
@@ -100,6 +99,81 @@ class TestForkPayloadIsolation:
             parallel._IN_FORK_WORKER = original
         # Back in the parent, the same call must succeed.
         assert run_tasks(_square, [(2,)], executor="process") == [4]
+
+
+def _fingerprint(paths):
+    return [(p.slack, p.credit, tuple(p.pins)) for p in paths]
+
+
+def _scalar_reference(seed: int):
+    engine = CpprEngine(TimingAnalyzer(*random_small(seed)),
+                        CpprOptions(backend="scalar"))
+    return _fingerprint(engine.top_paths(10, "setup"))
+
+
+@pytest.mark.skipif("process" not in available_executors(),
+                    reason="no fork support")
+class TestSharedPoolPolicy:
+    """When the one process pool is reused, re-forked or retired."""
+
+    def test_pool_is_reused_then_reforked_for_the_array_core(self):
+        from repro.cppr import shard
+        want = _scalar_reference(13)
+        scalar = CpprEngine(TimingAnalyzer(*random_small(13)), CpprOptions(
+            executor="process", workers=2, backend="scalar"))
+        assert _fingerprint(scalar.top_paths(10, "setup")) == want
+        pool = shard._POOL
+        scalar.clear_cache()
+        assert _fingerprint(scalar.top_paths(10, "setup")) == want
+        assert pool is not None and shard._POOL is pool
+        assert scalar.last_degraded == ()
+        # The pool forked before the analyzer had an array core; the
+        # array query must re-fork so workers have it.
+        pytest.importorskip("numpy", exc_type=ImportError)
+        array = scalar.with_options(backend="array")
+        assert _fingerprint(array.top_paths(10, "setup")) == want
+        assert array.last_degraded == ()
+
+    def test_queries_without_shared_memory_retire_the_pool_in_turn(self):
+        # Without shared memory every array query re-forks the pool and
+        # retires it on close; queries from two threads must take turns.
+        pytest.importorskip("numpy", exc_type=ImportError)
+        from repro.cppr import shard
+        from repro.faults import inject
+        seeds = (16, 17)
+        want = {seed: _scalar_reference(seed) for seed in seeds}
+        outcomes: list = []
+        errors: list[BaseException] = []
+
+        def run(seed: int) -> None:
+            try:
+                for _round in range(3):
+                    engine = CpprEngine(
+                        TimingAnalyzer(*random_small(seed)), CpprOptions(
+                            executor="process", workers=2,
+                            backend="array"))
+                    got = _fingerprint(engine.top_paths(10, "setup"))
+                    outcomes.append((got == want[seed],
+                                     engine.last_degraded))
+            except BaseException as exc:  # noqa: BLE001 - recorded
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with inject("shm.attach:times=inf"):
+                threads = [threading.Thread(target=run, args=(seed,))
+                           for seed in seeds]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not errors
+        assert outcomes == [(True, ())] * 6
+        assert shard._POOL is None
 
 
 class TestEagerOptionValidation:

@@ -19,13 +19,15 @@ np = pytest.importorskip("numpy")
 
 from tests.helpers import random_small  # noqa: E402
 
-from repro import CpprEngine, CpprOptions, TimingAnalyzer  # noqa: E402
+from repro import (CpprEngine, CpprOptions,  # noqa: E402
+                   DegradedResultWarning, TimingAnalyzer)
 from repro.core import shm  # noqa: E402
+from repro.core.arrays import CoreArrays  # noqa: E402
 from repro.core.batched import propagate_dual_batched  # noqa: E402
 from repro.cppr import shard  # noqa: E402
 from repro.cppr.engine import _run_family_resilient  # noqa: E402
 from repro.cppr.parallel import available_executors  # noqa: E402
-from repro.exceptions import ShmStaleError  # noqa: E402
+from repro.exceptions import ExecutionError, ShmStaleError  # noqa: E402
 from repro.sta.modes import AnalysisMode  # noqa: E402
 
 pytestmark = pytest.mark.skipif(
@@ -106,6 +108,36 @@ class TestDescriptors:
         assert ctx.batch_layout.segment in shm.REGISTRY.segments()
         ctx.close()
         assert ctx.batch_layout.segment not in shm.REGISTRY.segments()
+
+
+def _refuse_publish(self, kind="values"):
+    raise OSError("no space left on the shared-memory filesystem")
+
+
+@pytest.mark.skipif("process" not in available_executors(),
+                    reason="no fork support")
+class TestPublishFailure:
+    """A failed publish falls back to state the workers inherit."""
+
+    def _engine(self, seed: int, **options) -> CpprEngine:
+        return CpprEngine(_analyzer(seed), CpprOptions(
+            executor="process", workers=2, backend="array", **options))
+
+    def test_failed_publish_degrades_with_exact_report(self, monkeypatch):
+        want = _fingerprint(CpprEngine(_analyzer(41), CpprOptions(
+            backend="scalar")).top_paths(8, "setup"))
+        monkeypatch.setattr(CoreArrays, "share_values", _refuse_publish)
+        engine = self._engine(41)
+        with pytest.warns(DegradedResultWarning):
+            got = _fingerprint(engine.top_paths(8, "setup"))
+        assert got == want
+        assert [e["event"] for e in engine.last_degraded] == ["degrade.shm"]
+
+    def test_failed_publish_raises_in_strict_mode(self, monkeypatch):
+        monkeypatch.setattr(CoreArrays, "share_values", _refuse_publish)
+        engine = self._engine(42, strict=True)
+        with pytest.raises(ExecutionError, match="publish failed"):
+            engine.top_paths(8, "setup")
 
 
 class TestDesignRegistry:

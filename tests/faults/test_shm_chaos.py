@@ -81,10 +81,11 @@ class TestLadderDegradation:
                 got = _fingerprint(engine.top_paths(6, "setup"))
         assert got == want
 
-    def test_unbounded_arming_falls_back_to_fork_payloads(self):
+    def test_unbounded_arming_falls_back_to_inheritance(self):
         """``times=inf`` models a platform without shared memory: the
-        plane reports unavailable and the legacy pickling path must
-        produce the exact report with no degradation events at all."""
+        plane reports unavailable, descriptors name no segment, and
+        workers reading what they inherited at fork must produce the
+        exact report with no degradation events at all."""
         want = _scalar_reference(33)
         graph, constraints = random_small(33)
         engine = CpprEngine(

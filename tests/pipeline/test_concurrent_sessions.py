@@ -117,6 +117,11 @@ def test_sessions_do_not_observe_each_other():
     driver, sink = (graph.pin_name(worst.pins[1]),
                     graph.pin_name(worst.pins[2]))
     noisy.update(delays=[DelayUpdate(driver, sink, 2.0, 5.0)])
+    if HAVE_NUMPY:
+        # Array sessions: one shared structure, private value columns.
+        assert quiet._core.structure is noisy._core.structure
+        assert not numpy.shares_memory(quiet._core.values.edge_late,
+                                       noisy._core.values.edge_late)
     assert [_key(p) for p in noisy.top_paths(4, "setup")] != before
     assert [_key(p) for p in quiet.top_paths(4, "setup")] == before
     # And the engine itself still serves the unedited design.
