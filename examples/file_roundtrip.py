@@ -11,8 +11,8 @@ Run:  python examples/file_roundtrip.py
 import tempfile
 from pathlib import Path
 
-from repro import (CpprEngine, TimingAnalyzer, load_design,
-                   load_design_json, save_design, save_design_json)
+from repro import (CpprEngine, TimingAnalyzer, load_design, save_design,
+                   save_design_json)
 from repro.workloads.suite import build_design
 
 
@@ -39,9 +39,8 @@ def main():
             print(f"  {line}")
         print()
 
-        for label, loader, path in [("text", load_design, text_path),
-                                    ("json", load_design_json, json_path)]:
-            new_graph, new_constraints = loader(path)
+        for label, path in [("text", text_path), ("json", json_path)]:
+            new_graph, new_constraints = load_design(path)
             reloaded = CpprEngine(
                 TimingAnalyzer(new_graph, new_constraints)
             ).top_slacks(10, "setup")

@@ -13,9 +13,8 @@ Run:  python examples/verilog_flow.py [design.v design.sdc]
 import sys
 from pathlib import Path
 
-from repro import CpprEngine, TimingAnalyzer, design_statistics
-from repro.io.flow import read_design
-from repro.library.standard import default_library
+from repro import (CpprEngine, TimingAnalyzer, design_statistics,
+                   load_design)
 
 DATA = Path(__file__).parent / "data"
 
@@ -27,9 +26,9 @@ def main():
         verilog_path = DATA / "pipeline.v"
         sdc_path = DATA / "pipeline.sdc"
 
-    library = default_library()
-    design, constraints = read_design(verilog_path, sdc_path, library)
-    graph = design.graph
+    imported = load_design(verilog_path, format="verilog", sdc=sdc_path)
+    design, graph, constraints = (imported.design, imported.graph,
+                                  imported.constraints)
 
     print(f"read {verilog_path}")
     print(f"  {graph.describe()}")

@@ -33,8 +33,7 @@ from repro.exceptions import (AnalysisError, CircuitStructureError,
                               FormatError, ReproError, SourceLocation,
                               TimingConstraintError)
 from repro.io import (ImportedDesign, detect_format, load_design,
-                      load_design_json, register_format, save_design,
-                      save_design_json)
+                      register_format, save_design, save_design_json)
 from repro.pipeline import CpprSession
 from repro.sta import AnalysisMode, TimingAnalyzer, TimingConstraints
 from repro.sta.incremental import DelayUpdate
@@ -81,7 +80,6 @@ __all__ = [
     "format_path",
     "format_path_report",
     "load_design",
-    "load_design_json",
     "pair_paths",
     "random_design",
     "register_format",

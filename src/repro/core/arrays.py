@@ -322,23 +322,10 @@ class CoreArrays:
     def _build(self, graph: TimingGraph) -> None:
         n = graph.num_pins
         fanout = graph.fanout
-        m = sum(len(adj) for adj in fanout)
+        src, dst, early, late = _edge_columns(graph)
         s = CoreStructure()
         s.num_pins = n
-        s.num_edges = m
-
-        src = np.empty(m, dtype=np.int64)
-        dst = np.empty(m, dtype=np.int64)
-        early = np.empty(m, dtype=np.float64)
-        late = np.empty(m, dtype=np.float64)
-        i = 0
-        for u in range(n):
-            for v, e, l in fanout[u]:
-                src[i] = u
-                dst[i] = v
-                early[i] = e
-                late[i] = l
-                i += 1
+        s.num_edges = len(src)
 
         levels = np.asarray(
             longest_path_levels(n, [[v for v, _e, _l in adj]
@@ -351,7 +338,7 @@ class CoreArrays:
         # destination (forward passes).  Parallel edges tie on
         # (level, dst, src) and land sorted by (early, late) — the
         # run order apply_value_updates maintains.
-        order = np.lexsort((late, early, src, dst, levels[src]))
+        order, fanin_order = _table_orders(src, dst, early, late, levels)
         s.edge_src = src[order]
         s.edge_dst = dst[order]
         edge_early = early[order]
@@ -370,9 +357,8 @@ class CoreArrays:
             s.bucket_spans.append((lo, hi))
 
         # Fanin CSR (backward deviation walk).
-        order = np.lexsort((late, early, src, dst))
-        s.fanin_src = src[order]
-        s.fanin_dst = dst[order]
+        s.fanin_src = src[fanin_order]
+        s.fanin_dst = dst[fanin_order]
         s.fanin_ptr = np.searchsorted(s.fanin_dst, np.arange(n + 1))
         s.fanin_ptr_list = s.fanin_ptr.tolist()
         s.fanin_src_list = s.fanin_src.tolist()
@@ -380,7 +366,7 @@ class CoreArrays:
 
         self.structure = s
         self.values = CoreValues(edge_early, edge_late,
-                                 early[order], late[order])
+                                 early[fanin_order], late[fanin_order])
         self._build_buckets(shared_from=None)
 
     def _build_buckets(self, shared_from) -> None:
@@ -490,6 +476,35 @@ class CoreArrays:
             col.add("core.structure_reuses")
         return new
 
+    def placed_copy(self, graph: TimingGraph) -> "CoreArrays":
+        """A new :class:`CoreArrays` for ``graph``: shared structure,
+        value columns read from ``graph``'s own adjacency rows.
+
+        ``graph`` must have this core's topology (a corner realized on
+        the graph the core was built for).  Its delays are placed with
+        the sort keys of a from-scratch build, one ``lexsort`` per
+        table, so the columns are exactly what that build would give,
+        whatever fraction of the delays differ.  Raises ``ValueError``
+        when the placed ``src``/``dst`` columns are not the shared
+        structure's.
+        """
+        s = self.structure
+        src, dst, early, late = _edge_columns(graph)
+        order, fanin_order = _table_orders(src, dst, early, late,
+                                           s.level_of)
+        if not (np.array_equal(src[order], s.edge_src)
+                and np.array_equal(dst[order], s.edge_dst)):
+            raise ValueError(
+                "graph's data edges do not match the shared core "
+                "structure")
+        vals = CoreValues(early[order], late[order],
+                          early[fanin_order], late[fanin_order])
+        new = CoreArrays(graph, structure=s, values=vals)
+        col = _obs.ACTIVE
+        if col is not None:
+            col.add("core.structure_reuses")
+        return new
+
     # ------------------------------------------------------------------
     # The historical flat-attribute surface (facade)
     # ------------------------------------------------------------------
@@ -579,6 +594,24 @@ class CoreArrays:
                 continue
             yield (s.edge_src[lo:hi], s.edge_dst[lo:hi],
                    v.edge_early[lo:hi], v.edge_late[lo:hi])
+
+
+def _edge_columns(graph: TimingGraph):
+    """``(src, dst, early, late)`` of every data edge, in fanout-row
+    order (source pin ascending, then row position)."""
+    fanout = graph.fanout
+    src = np.repeat(np.arange(len(fanout), dtype=np.int64),
+                    [len(row) for row in fanout])
+    flat = np.array([entry for row in fanout for entry in row],
+                    dtype=np.float64).reshape(-1, 3)
+    return src, flat[:, 0].astype(np.int64), flat[:, 1], flat[:, 2]
+
+
+def _table_orders(src, dst, early, late, level_of):
+    """The edge-table order, by ``(level_of[src], dst, src, early,
+    late)``, and the fanin-CSR order, by ``(dst, src, early, late)``."""
+    return (np.lexsort((late, early, src, dst, level_of[src])),
+            np.lexsort((late, early, src, dst)))
 
 
 def get_core(graph: TimingGraph) -> CoreArrays:

@@ -7,13 +7,23 @@ split of :mod:`repro.core.arrays` makes a corner a pure value-column
 set by construction: every corner-realized graph shares the base
 design's immutable :class:`~repro.core.arrays.CoreStructure` (and
 topology caches — ``topo_order``, batched pad geometry, FF seed
-columns), paying only a delay-column copy.
+columns), paying only for its own delay columns.
 
-A :class:`Corner` names one scenario as a *delta* from the base design
-(data-edge delay updates plus clock-tree edge updates, the exact
-vocabulary of :class:`~repro.io.eco.EcoUpdates`); a :class:`CornerSet`
-is the ordered, uniquely-named collection an engine analyzes together.
-Passing a set via ``CpprOptions(corners=...)`` makes
+A :class:`Corner` names one scenario in one of two forms:
+
+* **name-keyed** — data-edge delay updates plus clock-tree node
+  updates, the exact vocabulary of :class:`~repro.io.eco.EcoUpdates`
+  (``--corner NAME=FILE``, the server's ECO corners).  Realizing it
+  resolves every pin name and patches the delays one by one;
+* **dense** (:meth:`Corner.dense`) — new delays keyed by position in
+  the base graph's adjacency rows and clock tree, as
+  :func:`repro.io.sdf.extract_corners` builds each SDF min/typ/max
+  member.  Realizing it binds every edit in one pass and places the
+  array core's value columns with one sort per table.
+
+A :class:`CornerSet` is the ordered, uniquely-named collection an
+engine analyzes together.  Passing a set via
+``CpprOptions(corners=...)`` makes
 :class:`~repro.cppr.engine.CpprEngine` run all ``C`` corners through
 one fused ``(C * 2D, n)`` propagation sweep
 (:func:`~repro.core.batched.propagate_dual_batched_corners`) and one
@@ -24,10 +34,13 @@ independent single-corner engines.  See ``docs/MCMM.md``.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Mapping
+from itertools import chain
 
+from repro.circuit.graph import TimingGraph
 from repro.exceptions import AnalysisError
 from repro.sta.incremental import (DelayUpdate, apply_clock_updates,
-                                   apply_delay_updates)
+                                   apply_delay_updates,
+                                   replace_clock_delays)
 from repro.sta.timing import TimingAnalyzer
 
 __all__ = ["Corner", "CornerSet", "NO_CORNER"]
@@ -67,12 +80,14 @@ class Corner:
     names to new ``(early, late)`` edge delays — together exactly an
     :class:`~repro.io.eco.EcoUpdates`.  An empty delta is valid and
     names the base design itself (the conventional ``typ`` corner).
-    Corners are immutable; edits resolve eagerly when the set is
-    realized, so a typo'd pin name fails at engine construction, not on
-    the first query.
+    A dense corner (:meth:`dense`) keys its edits by position instead;
+    its ``delays`` and ``clock`` are empty.  Corners are immutable;
+    edits resolve eagerly when the set is realized, so a typo'd pin
+    name fails at engine construction, not on the first query.
     """
 
-    __slots__ = ("name", "delays", "clock")
+    __slots__ = ("name", "delays", "clock", "_pins", "_edges",
+                 "_nodes")
 
     def __init__(self, name: str,
                  delays: Iterable[DelayUpdate] = (),
@@ -86,6 +101,34 @@ class Corner:
                     f"corner {name!r}: delays must be DelayUpdate "
                     f"entries, got {update!r}")
         self.clock = dict(clock or {})
+        #: The dense form: the base graph's pin table, edge edits and
+        #: clock-node edits (``None``/empty for a name-keyed corner).
+        self._pins = None
+        self._edges: tuple = ()
+        self._nodes: tuple = ()
+
+    @classmethod
+    def dense(cls, name: str, graph: TimingGraph,
+              edges: Iterable[tuple[int, int, int, tuple]],
+              nodes: Iterable[tuple[int, float, float]]) -> "Corner":
+        """A corner keyed by position in ``graph``'s topology.
+
+        ``edges`` holds ``(u, j, k, (v, early, late))``: the new entry
+        ``graph.fanout[u][j]`` of the data edge ``u -> v``, whose fanin
+        entry is ``graph.fanin[v][k]``.  ``nodes`` holds ``(node,
+        early, late)``: new delays for the clock-tree edge into
+        ``node``.  The corner realizes on ``graph`` or on any graph
+        with its pin table and adjacency rows (an ECO derivation of
+        it); on another design, realizing raises
+        :class:`AnalysisError`.
+        """
+        corner = cls(name)
+        corner._pins = graph.pins
+        # Flat (u, j, k, entry, ...): no tuple per edit, and realized
+        # fanout rows share the entries.
+        corner._edges = tuple(chain.from_iterable(edges))
+        corner._nodes = tuple(nodes)
+        return corner
 
     @classmethod
     def from_eco(cls, name: str, updates) -> "Corner":
@@ -104,8 +147,56 @@ class Corner:
         return cls.from_eco(name, load_eco_updates(path))
 
     def __repr__(self) -> str:
+        if self._pins is not None:
+            return (f"Corner({self.name!r}, dense: "
+                    f"edges={len(self._edges) // 4}, "
+                    f"clock_nodes={len(self._nodes)})")
         return (f"Corner({self.name!r}, delays={len(self.delays)}, "
                 f"clock={len(self.clock)})")
+
+    def _bind(self, graph: TimingGraph) -> TimingGraph:
+        """``graph`` with this dense corner's edits, in one pass.
+
+        Adjacency rows are copied on touch and patched by position.  A
+        built array core is carried as a
+        :meth:`~repro.core.arrays.CoreArrays.placed_copy` over the
+        shared structure.
+        """
+        if graph.pins is not self._pins and graph.pins != self._pins:
+            raise AnalysisError(
+                "its delays are keyed to another design's pins; "
+                "extract the corner from this design")
+        fanout = list(graph.fanout)
+        fanin = list(graph.fanin)
+        edits = iter(self._edges)
+        for u, j, k, entry in zip(edits, edits, edits, edits):
+            v, early, late = entry
+            row, back = fanout[u], fanin[v]
+            if row is graph.fanout[u]:
+                row = fanout[u] = list(row)
+            if back is graph.fanin[v]:
+                back = fanin[v] = list(back)
+            if (j >= len(row) or row[j][0] != v or k >= len(back)
+                    or back[k][0] != u):
+                raise AnalysisError(
+                    f"no data edge {graph.pin_name(u)!r} -> "
+                    f"{graph.pin_name(v)!r} at its position; extract "
+                    f"the corner from this design")
+            row[j] = entry
+            back[k] = (u, early, late)
+        derived = TimingGraph._derived(graph, fanout=fanout, fanin=fanin)
+        core = getattr(graph, "_core_arrays", None)
+        if core is not None:
+            derived._core_arrays = core.placed_copy(derived)
+        for attr in ("_batched_pads", "_batched_ff_columns"):
+            value = getattr(graph, attr, None)
+            if value is not None:
+                setattr(derived, attr, value)
+        if self._nodes:
+            derived = replace_clock_delays(
+                derived, {node: (early, late)
+                          for node, early, late in self._nodes})
+        return derived
 
 
 class CornerSet:
@@ -159,9 +250,10 @@ class CornerSet:
         On the array backend the base graph's core is built *first*,
         so every derived graph shares its
         :class:`~repro.core.arrays.CoreStructure` (the precondition of
-        the fused sweep) and pays only a value-column copy.  Unknown
-        pins or clock nodes raise :class:`AnalysisError` here — i.e.
-        at engine construction — prefixed with the corner's name.
+        the fused sweep) and pays only for its value columns.  Unknown
+        pins or clock nodes, and dense corners of another design, raise
+        :class:`AnalysisError` here — i.e. at engine construction —
+        prefixed with the corner's name.
         """
         graph = analyzer.graph
         if backend == "array":
@@ -171,6 +263,8 @@ class CornerSet:
         for corner in self.corners:
             derived = graph
             try:
+                if corner._pins is not None:
+                    derived = corner._bind(derived)
                 if corner.delays:
                     derived = apply_delay_updates(derived,
                                                   list(corner.delays))

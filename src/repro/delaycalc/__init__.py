@@ -10,10 +10,11 @@ topological order annotating every cell arc.
 
 The output plugs straight into the rise/fall expansion: the *timed flow*
 (:func:`~repro.delaycalc.timed_flow.read_timed_design`) is a drop-in
-alternative to :func:`repro.io.flow.read_design` where arc delays come
-from the NLDM tables instead of the library's fixed values — including
-the clock buffers, whose early/late spread (and hence every CPPR credit)
-then emerges from the derates rather than being hand-annotated.
+alternative to ``repro.load_design(path, format="verilog", sdc=...)``
+where arc delays come from the NLDM tables instead of the library's
+fixed values — including the clock buffers, whose early/late spread
+(and hence every CPPR credit) then emerges from the derates rather
+than being hand-annotated.
 """
 
 from repro.delaycalc.calc import CalculatedDesignTiming, calculate_timing

@@ -24,7 +24,7 @@ from repro.io.design_io import DesignDescription, describe_design, \
 from repro.io.eco import EcoUpdates, load_eco_updates, save_eco_updates
 from repro.io.frontend import (FormatSpec, ImportedDesign, detect_format,
                                formats, load_design, register_format)
-from repro.io.json_format import load_design_json, save_design_json
+from repro.io.json_format import save_design_json
 from repro.io.tau_format import save_design
 
 __all__ = [
@@ -36,7 +36,6 @@ __all__ = [
     "detect_format",
     "formats",
     "load_design",
-    "load_design_json",
     "load_eco_updates",
     "reconstruct_design",
     "register_format",

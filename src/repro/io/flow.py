@@ -1,8 +1,9 @@
-"""The file-based front-end: Verilog + SDC + library -> analyzable design.
+"""The netlist back end: parsed Verilog + SDC + library -> analyzable design.
 
-``read_design(verilog, sdc, library)`` wires everything together:
+Files enter through ``repro.load_design(path, format="verilog",
+sdc=...)``, which parses them and calls :func:`elaborate_design`:
 
-1. parse the structural netlist and the constraints;
+1. take the parsed structural netlist and constraints;
 2. recover the clock network: starting from the SDC clock port, follow
    non-inverting single-input cells (BUF/INV-class; inverting clock
    cells are rejected) whose fan-out stays inside the clock network;
@@ -18,16 +19,14 @@ and SDC annotations, as in a pre-layout flow.
 
 from __future__ import annotations
 
-import os
-
 from repro.exceptions import FormatError
-from repro.io.sdc import SdcConstraints, read_sdc
-from repro.io.verilog import VerilogModule, read_verilog
+from repro.io.sdc import SdcConstraints
+from repro.io.verilog import VerilogModule
 from repro.library.cells import StandardCellLibrary
 from repro.sta.constraints import TimingConstraints
 from repro.transitions.netlist import RiseFallDesign, RiseFallNetlist
 
-__all__ = ["elaborate_design", "read_design"]
+__all__ = ["clock_buffer_delay", "elaborate_design"]
 
 _FF_REQUIRED_PORTS = ("CK", "D")
 
@@ -111,6 +110,19 @@ def _trace_clock_network(module: VerilogModule,
     return clock_nets, clock_cells
 
 
+def clock_buffer_delay(instance, library: StandardCellLibrary,
+                       cell_overrides: dict, net_delays: dict
+                       ) -> tuple[float, float]:
+    """A clock buffer's tree-edge delay: its (overridden) input-0 rise
+    arc plus the wire delay into its ``A0``."""
+    cell = cell_overrides.get(instance.name) \
+        or library.cell(instance.cell)
+    early, late = cell.rise_delays[0]
+    wire_early, wire_late = net_delays.get(f"{instance.name}/A0",
+                                           (0.0, 0.0))
+    return early + wire_early, late + wire_late
+
+
 def elaborate_design(module: VerilogModule, sdc: SdcConstraints,
                      library: StandardCellLibrary,
                      *,
@@ -152,14 +164,11 @@ def elaborate_design(module: VerilogModule, sdc: SdcConstraints,
     # first).  Tree node of a clock net = the cell driving it.
     node_of_net = {sdc.clock_port: sdc.clock_port}
     for instance in clock_cells:
-        cell = cell_overrides.get(instance.name) \
-            or library.cell(instance.cell)
         parent = node_of_net[instance.connections["A0"]]
-        early, late = cell.rise_delays[0]
-        wire_early, wire_late = net_delays.get(
-            f"{instance.name}/A0", (0.0, 0.0))
-        netlist.add_clock_buffer(instance.name, parent,
-                                 early + wire_early, late + wire_late)
+        netlist.add_clock_buffer(
+            instance.name, parent,
+            *clock_buffer_delay(instance, library, cell_overrides,
+                                net_delays))
         node_of_net[instance.connections["Y"]] = instance.name
 
     # Ports.
@@ -234,24 +243,3 @@ def elaborate_design(module: VerilogModule, sdc: SdcConstraints,
                         *net_delays.get(port, (0.0, 0.0)))
 
     return netlist.elaborate(), TimingConstraints(sdc.clock_period)
-
-
-def read_design(verilog_path: str | os.PathLike,
-                sdc_path: str | os.PathLike,
-                library: StandardCellLibrary
-                ) -> tuple[RiseFallDesign, TimingConstraints]:
-    """Parse, constrain, and expand a design from files.
-
-    .. deprecated::
-        Use ``repro.io.load_design(path, format="verilog", sdc=...,
-        library=...)`` — the registry entry point also carries SDF
-        annotation and corner extraction.
-    """
-    import warnings
-    warnings.warn(
-        "repro.io.flow.read_design is deprecated; use "
-        "repro.io.load_design(path, format='verilog', sdc=..., "
-        "library=...)", DeprecationWarning, stacklevel=2)
-    module = read_verilog(str(verilog_path))
-    sdc = read_sdc(str(sdc_path))
-    return elaborate_design(module, sdc, library)

@@ -57,8 +57,8 @@ _SNIFF_BYTES = 4096
 class ImportedDesign:
     """What every frontend returns: a design plus its provenance.
 
-    Iterating yields ``(graph, constraints)`` so existing call sites
-    written against the legacy two-tuple loaders keep working::
+    Iterating yields ``(graph, constraints)``, so call sites can
+    unpack it as a two-tuple::
 
         graph, constraints = load_design(path)
     """

@@ -1,15 +1,13 @@
 """JSON design format: the neutral description, serialized verbatim.
 
 Registered as the ``json`` frontend in :mod:`repro.io.frontend`; load
-through :func:`repro.io.load_design`.  The direct
-:func:`load_design_json` entry point is deprecated.
+through :func:`repro.io.load_design`.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import warnings
 
 from repro.circuit.graph import TimingGraph
 from repro.exceptions import CircuitStructureError, FormatError
@@ -17,7 +15,7 @@ from repro.io.design_io import (describe_design, description_from_dict,
                                 description_to_dict, reconstruct_design)
 from repro.sta.constraints import TimingConstraints
 
-__all__ = ["load_design_json", "save_design_json"]
+__all__ = ["save_design_json"]
 
 _FORMAT_VERSION = 1
 
@@ -34,22 +32,9 @@ def save_design_json(graph: TimingGraph, constraints: TimingConstraints,
         json.dump(payload, handle, indent=1)
 
 
-def load_design_json(path: str | os.PathLike
-                     ) -> tuple[TimingGraph, TimingConstraints]:
-    """Read a design written by :func:`save_design_json`.
-
-    .. deprecated::
-        Use ``repro.io.load_design(path, format="json")``.
-    """
-    warnings.warn(
-        "load_design_json is deprecated; use "
-        "repro.io.load_design(path, format='json')",
-        DeprecationWarning, stacklevel=2)
-    return _load_design_json(path)
-
-
 def _load_design_json(path: str | os.PathLike
                       ) -> tuple[TimingGraph, TimingConstraints]:
+    """Read a design written by :func:`save_design_json`."""
     with open(path, "r", encoding="utf-8") as handle:
         try:
             payload = json.load(handle)

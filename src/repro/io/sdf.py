@@ -14,16 +14,16 @@ exchange — ``DELAYFILE`` header, per-instance ``CELL`` entries with
         (DELAY (ABSOLUTE
           (INTERCONNECT u0/Y u1/A0 (0.01:0.02:0.03))))))
 
-Annotation replaces library arc delays with the file's values through
-the :func:`repro.io.flow.elaborate_design` override hooks: each
-annotated instance gets a cell clone (``dataclasses.replace``) carrying
-its IOPATH delays, and every INTERCONNECT becomes a wire delay on the
-sink pin's net.  The base design takes ``(early, late) = (min, max)``
-— the file's full on-chip-variation envelope — and
-:func:`extract_corners` turns the *min/typ/max* axis into an MCMM
-:class:`~repro.corners.CornerSet` (one pure corner per triple member,
-expressed as graph deltas from the base) so one SDF feeds the fused
-multi-corner sweep.  Unsupported constructs raise
+Annotation, apart from parsing, goes through the
+:func:`repro.io.flow.elaborate_design` override hooks: each annotated
+instance gets a cell clone carrying its IOPATH delays, and every
+INTERCONNECT becomes a wire delay on the sink pin's net.  The base
+design takes ``(early, late) = (min, max)`` — the file's full
+on-chip-variation envelope.  :func:`extract_corners` turns the
+*min/typ/max* axis into an MCMM :class:`~repro.corners.CornerSet` of
+dense corners, one per member: the base graph's edges, each mapped
+once to the arc or wire that sets its delay, whose member value
+differs from the base, by position.  Unsupported constructs raise
 :class:`~repro.exceptions.FormatError` with ``path:line:col``
 diagnostics rather than being silently ignored.
 """
@@ -484,38 +484,81 @@ def build_overrides(sdf: SdfDelayFile, module, library, *,
 # ----------------------------------------------------------------------
 # Corners: the min/typ/max axis as an MCMM CornerSet
 # ----------------------------------------------------------------------
-def _diff_designs(base_graph, variant_graph, name: str):
-    """Graph deltas (data edges + clock tree) of variant vs base."""
-    from repro.sta.incremental import DelayUpdate
+def _delay_sources(graph, instances, library):
+    """Map each data edge and clock-tree edge of ``graph`` to what sets
+    its delay in :func:`~repro.io.flow.elaborate_design`.
 
-    if base_graph.num_pins != variant_graph.num_pins:
-        raise FormatError(
-            f"corner {name!r} changed the design topology; SDF corner "
-            f"extraction requires delay-only variation")
-    delays = []
-    for u in range(base_graph.num_pins):
-        base_row = base_graph.fanout[u]
-        variant_row = variant_graph.fanout[u]
-        for (v, b_early, b_late), (v2, early, late) in zip(
-                base_row, variant_row):
-            if v != v2:
-                raise FormatError(
-                    f"corner {name!r} changed the design topology; SDF "
-                    f"corner extraction requires delay-only variation")
-            if (b_early, b_late) != (early, late):
-                delays.append(DelayUpdate(
-                    base_graph.pin_name(u), base_graph.pin_name(v),
-                    early, late))
-    base_tree = base_graph.clock_tree
-    variant_tree = variant_graph.clock_tree
-    clock = {}
-    for node in range(1, len(base_tree.names)):
-        pair = (variant_tree.delays_early[node],
-                variant_tree.delays_late[node])
-        if pair != (base_tree.delays_early[node],
-                    base_tree.delays_late[node]):
-            clock[base_tree.names[node]] = pair
-    return delays, clock
+    Returns ``(edges, nodes)``: ``(u, j, k, v, delay, source)`` for each
+    ``graph.fanout[u][j] == (v, *delay)`` (its fanin entry is
+    ``graph.fanin[v][k]``) and ``(node, delay, source)`` per tree node.
+    A source is a gate arc ``(instance, rise, input)``, a wire's sink
+    (``"u1/A0"``, ``"ff/D"``, ``"ff/CK"``, an output port), a clock
+    buffer instance, or ``None`` for the zero-delay flip-flop clock pins.
+    """
+    from repro.circuit.pins import PinKind
+    from repro.transitions.netlist import RISE, unmangle
+
+    pins = graph.pins
+    tree = graph.clock_tree
+    slot_inputs: dict = {}
+
+    def arc(gate_input):
+        name, transition = unmangle(gate_input.cell)
+        instance = instances[name]
+        if gate_input.cell not in slot_inputs:
+            cell = library.cell(instance.cell)
+            arcs = (cell.arcs_to_output_rise() if transition == RISE
+                    else cell.arcs_to_output_fall())
+            slot_inputs[gate_input.cell] = [index for index, _t, _d in arcs]
+        slot = int(gate_input.name.rpartition("/A")[2])
+        return instance, transition == RISE, slot_inputs[gate_input.cell][slot]
+
+    def edge_source(u, v):
+        sink = pins[v]
+        if sink.kind is PinKind.GATE_OUTPUT:
+            return arc(pins[u])
+        if sink.kind is PinKind.GATE_INPUT:
+            instance, _rise, index = arc(sink)
+            return f"{instance.name}/A{index}"
+        if sink.kind is PinKind.FF_D:
+            return f"{unmangle(sink.cell)[0]}/D"
+        return unmangle(sink.name)[0]  # a primary output
+
+    def node_source(node):
+        if tree.ff_of_node[node] >= 0:
+            return None
+        name, transition = unmangle(tree.names[node])
+        return f"{name}/CK" if transition == "ck" else instances[name]
+
+    try:
+        edges = []
+        into = [0] * len(pins)  # per sink: the fanin slot of its next edge
+        for u, row in enumerate(graph.fanout):
+            for j, (v, early, late) in enumerate(row):
+                edges.append((u, j, into[v], v, (early, late),
+                              edge_source(u, v)))
+                into[v] += 1
+        nodes = [(node, (tree.delays_early[node], tree.delays_late[node]),
+                  node_source(node)) for node in range(1, len(tree))]
+    except (KeyError, ValueError) as exc:
+        raise FormatError(f"SDF corners: the base graph is not an "
+                          f"elaboration of this netlist ({exc})") from None
+    return edges, nodes
+
+
+def _member_delay(source, library, cell_overrides, net_delays):
+    """The delay ``source`` takes under one corner's override hooks."""
+    if source is None:
+        return (0.0, 0.0)
+    if source.__class__ is str:
+        return net_delays.get(source, (0.0, 0.0))
+    if source.__class__ is tuple:
+        instance, rise, index = source
+        cell = cell_overrides.get(instance.name) \
+            or library.cell(instance.cell)
+        return (cell.rise_delays if rise else cell.fall_delays)[index]
+    from repro.io.flow import clock_buffer_delay
+    return clock_buffer_delay(source, library, cell_overrides, net_delays)
 
 
 def extract_corners(sdf: SdfDelayFile, module, sdc, library,
@@ -523,31 +566,30 @@ def extract_corners(sdf: SdfDelayFile, module, sdc, library,
                     members: tuple[str, ...] = TRIPLE_MEMBERS):
     """The SDF min/typ/max axis as a :class:`~repro.corners.CornerSet`.
 
-    Each member becomes one *pure* corner — a design where every
-    annotated delay sits at that triple member (``early == late``) —
-    expressed as a delta from ``base_graph`` (the ``(min, max)``
-    envelope design built by the importer).  Flip-flop intrinsic arcs
-    are held at the base values: corner deltas speak the
-    :class:`~repro.corners.Corner` vocabulary of data-edge and
-    clock-tree delay updates.
+    Each member becomes one *pure* corner (``early == late`` at that
+    triple member): a dense :class:`~repro.corners.Corner` of the edges
+    whose member delay differs from ``base_graph``, the ``(min, max)``
+    envelope built by the importer.  Flip-flop intrinsic arcs stay at
+    the base values.  ``sdc`` is unused.
     """
     from repro.corners import Corner, CornerSet
-    from repro.io.flow import elaborate_design
 
+    instances = {inst.name: inst for inst in module.instances}
+    edges, nodes = _delay_sources(base_graph, instances, library)
     corners = []
     for member in members:
         if member not in TRIPLE_MEMBERS:
             raise FormatError(
                 f"unknown SDF corner {member!r}; expected one of "
                 f"{TRIPLE_MEMBERS}")
-        cell_overrides, net_delays = build_overrides(
-            sdf, module, library, early=member, late=member,
-            annotate_flipflops=False)
-        # Gate cells validate early <= late; a pure corner is degenerate
-        # (early == late) so the envelope check cannot fire.
-        variant, _ = elaborate_design(module, sdc, library,
-                                      cell_overrides=cell_overrides,
-                                      net_delays=net_delays)
-        delays, clock = _diff_designs(base_graph, variant.graph, member)
-        corners.append(Corner(member, delays=delays, clock=clock))
+        hooks = build_overrides(sdf, module, library, early=member,
+                                late=member, annotate_flipflops=False)
+        edge_edits = [
+            (u, j, k, (v, *delay)) for u, j, k, v, base, source in edges
+            if (delay := _member_delay(source, library, *hooks)) != base]
+        node_edits = [
+            (node, *delay) for node, base, source in nodes
+            if (delay := _member_delay(source, library, *hooks)) != base]
+        corners.append(Corner.dense(member, base_graph, edge_edits,
+                                    node_edits))
     return CornerSet(corners)

@@ -21,7 +21,6 @@ number.
 from __future__ import annotations
 
 import os
-import warnings
 
 from repro.circuit.graph import TimingGraph
 from repro.exceptions import CircuitStructureError, FormatError
@@ -29,7 +28,7 @@ from repro.io.design_io import (DesignDescription, describe_design,
                                 reconstruct_design)
 from repro.sta.constraints import TimingConstraints
 
-__all__ = ["load_design", "save_design", "dumps_design", "loads_design"]
+__all__ = ["save_design", "dumps_design", "loads_design"]
 
 
 def _fmt(value: float) -> str:
@@ -162,17 +161,3 @@ def loads_design(text: str, path: str | None = None
     except CircuitStructureError as exc:
         raise FormatError(f"invalid design: {exc}", path=path) from exc
 
-
-def load_design(path: str | os.PathLike
-                ) -> tuple[TimingGraph, TimingConstraints]:
-    """Read a design from ``path``.
-
-    .. deprecated::
-        Use ``repro.io.load_design(path, format="tau")``.
-    """
-    warnings.warn(
-        "repro.io.tau_format.load_design is deprecated; use "
-        "repro.io.load_design(path, format='tau')",
-        DeprecationWarning, stacklevel=2)
-    with open(path, "r", encoding="utf-8") as handle:
-        return loads_design(handle.read(), path=str(path))

@@ -36,7 +36,7 @@ from repro.circuit.graph import TimingGraph
 from repro.exceptions import AnalysisError
 
 __all__ = ["DelayUpdate", "apply_clock_updates", "apply_delay_updates",
-           "resolve_delay_updates"]
+           "replace_clock_delays", "resolve_delay_updates"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -170,14 +170,25 @@ def apply_clock_updates(graph: TimingGraph,
     grouping caches); the data graph — adjacency rows and the whole
     array core, which holds no clock information — is shared untouched.
     """
-    tree = graph.clock_tree
-    name_to_node = {name: node for node, name in enumerate(tree.names)}
-    delays_early = list(tree.delays_early)
-    delays_late = list(tree.delays_late)
-    for name, (early, late) in updates.items():
+    name_to_node = {name: node for node, name
+                    in enumerate(graph.clock_tree.names)}
+    by_node = {}
+    for name, delays in updates.items():
         node = name_to_node.get(name)
         if node is None:
             raise AnalysisError(f"unknown clock node {name!r}")
+        by_node[node] = delays
+    return replace_clock_delays(graph, by_node)
+
+
+def replace_clock_delays(graph: TimingGraph,
+                         by_node: dict[int, tuple[float, float]]
+                         ) -> TimingGraph:
+    """:func:`apply_clock_updates` with tree nodes given by index."""
+    tree = graph.clock_tree
+    delays_early = list(tree.delays_early)
+    delays_late = list(tree.delays_late)
+    for node, (early, late) in by_node.items():
         if node == 0:
             raise AnalysisError(
                 "the clock source has no incoming edge; update "

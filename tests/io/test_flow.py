@@ -7,7 +7,8 @@ import pytest
 from repro import CpprEngine, ExhaustiveTimer, TimingAnalyzer, \
     validate_graph
 from repro.exceptions import FormatError
-from repro.io.flow import elaborate_design, read_design
+from repro.io import load_design
+from repro.io.flow import elaborate_design
 from repro.io.sdc import parse_sdc
 from repro.io.verilog import parse_verilog
 from repro.library.standard import default_library
@@ -98,11 +99,10 @@ class TestFlow:
     def test_read_design_from_files(self, tmp_path):
         (tmp_path / "t.v").write_text(VERILOG)
         (tmp_path / "t.sdc").write_text(SDC)
-        with pytest.warns(DeprecationWarning, match="read_design"):
-            rf_design, constraints = read_design(
-                tmp_path / "t.v", tmp_path / "t.sdc", default_library())
-        assert constraints.clock_period == 4.0
-        assert rf_design.graph.num_ffs == 4
+        imported = load_design(tmp_path / "t.v", format="verilog",
+                               sdc=tmp_path / "t.sdc")
+        assert imported.constraints.clock_period == 4.0
+        assert imported.graph.num_ffs == 4
 
 
 class TestFlowErrors:

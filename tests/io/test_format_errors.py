@@ -11,8 +11,9 @@ from __future__ import annotations
 import pytest
 
 from repro.exceptions import FormatError, SourceLocation
+from repro.io import load_design
 from repro.io.sdc import parse_sdc, read_sdc
-from repro.io.tau_format import load_design, loads_design
+from repro.io.tau_format import loads_design
 from repro.io.verilog import parse_verilog, read_verilog
 
 GOOD_SDC = """\
@@ -137,8 +138,7 @@ class TestTauDiagnostics:
     def test_load_design_reports_the_file_path(self, tmp_path):
         target = tmp_path / "truncated.cppr"
         target.write_text(GOOD_TAU.rsplit("net", 1)[0] + "net a\n")
-        with pytest.raises(FormatError) as info, \
-                pytest.warns(DeprecationWarning):
+        with pytest.raises(FormatError) as info:
             load_design(str(target))
         assert str(info.value).startswith(f"{target}:")
 

@@ -122,18 +122,6 @@ class TestLoadDesign:
         with pytest.raises(FormatError, match="netlist frontend"):
             load_design(path, sdf=SDF_FIXTURE)
 
-    def test_legacy_loaders_warn_but_agree(self, tmp_path):
-        from repro.io.tau_format import load_design as legacy_load
-        graph, constraints = demo_design()
-        path = tmp_path / "d.cppr"
-        save_design(graph, constraints, str(path))
-        with pytest.warns(DeprecationWarning, match="load_design"):
-            legacy_graph, legacy_constraints = legacy_load(str(path))
-        imported = load_design(path)
-        assert legacy_graph.num_pins == imported.graph.num_pins
-        assert legacy_constraints.clock_period == \
-            imported.constraints.clock_period
-
 
 class TestRegisterFormat:
     def test_custom_format_dispatches(self, tmp_path):

@@ -8,12 +8,9 @@ import pytest
 
 from repro import CpprEngine, TimingAnalyzer
 from repro.exceptions import FormatError
-from repro.io.json_format import load_design_json, save_design_json
+from repro.io import load_design
+from repro.io.json_format import save_design_json
 from tests.helpers import assert_slacks_equal, demo_design, random_small
-
-# These tests deliberately exercise the deprecated legacy entry point.
-pytestmark = pytest.mark.filterwarnings(
-    "ignore:load_design_json is deprecated:DeprecationWarning")
 
 
 class TestRoundTrip:
@@ -21,7 +18,7 @@ class TestRoundTrip:
         graph, constraints = demo_design()
         path = tmp_path / "demo.json"
         save_design_json(graph, constraints, path)
-        new_graph, new_constraints = load_design_json(path)
+        new_graph, new_constraints = load_design(path, format="json")
         want = CpprEngine(TimingAnalyzer(graph, constraints)).top_slacks(
             10, "setup")
         got = CpprEngine(TimingAnalyzer(new_graph,
@@ -33,7 +30,7 @@ class TestRoundTrip:
         graph, constraints = random_small(99)
         path = tmp_path / "r.json"
         save_design_json(graph, constraints, path)
-        new_graph, _ = load_design_json(path)
+        new_graph, _ = load_design(path, format="json")
         assert new_graph.num_edges == graph.num_edges
 
     def test_file_is_valid_json_with_header(self, tmp_path):
@@ -50,23 +47,23 @@ class TestErrors:
         path = tmp_path / "bad.json"
         path.write_text("{not json")
         with pytest.raises(FormatError, match="invalid JSON"):
-            load_design_json(path)
+            load_design(path, format="json")
 
     def test_wrong_format_marker(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"format": "other"}))
         with pytest.raises(FormatError, match="not a repro"):
-            load_design_json(path)
+            load_design(path, format="json")
 
     def test_wrong_version(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"format": "repro-cppr-design",
                                     "version": 99, "design": {}}))
         with pytest.raises(FormatError, match="version"):
-            load_design_json(path)
+            load_design(path, format="json")
 
     def test_non_dict_payload(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("[1, 2, 3]")
         with pytest.raises(FormatError, match="not a repro"):
-            load_design_json(path)
+            load_design(path, format="json")

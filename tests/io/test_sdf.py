@@ -211,15 +211,22 @@ class TestBuildOverrides:
 class TestExtractCorners:
     def test_fixture_corners(self):
         from repro.io.frontend import load_design
+        from repro.sta.timing import TimingAnalyzer
         imported = load_design(YOSYS_FIXTURE, sdf=FIXTURE,
                                sdf_corners=True)
         corners = imported.corners
         assert corners.names == TRIPLE_MEMBERS
-        for corner in corners:
-            # Every annotated data edge and tree node moved off the
+        base = imported.graph
+        realized = corners.realize(
+            TimingAnalyzer(base, imported.constraints), "scalar")
+        for name, analyzer in realized.items():
+            # Annotated data edges and tree nodes moved off the
             # (min, max) envelope in a pure corner.
-            assert corner.delays
-            assert corner.clock
+            graph, tree = analyzer.graph, analyzer.graph.clock_tree
+            assert graph.fanout != base.fanout, name
+            assert ((tree.delays_early, tree.delays_late)
+                    != (base.clock_tree.delays_early,
+                        base.clock_tree.delays_late)), name
 
     def test_corner_members_subset(self):
         from repro.io.frontend import load_design
@@ -227,6 +234,14 @@ class TestExtractCorners:
                                sdf_corners=True,
                                sdf_members=("typ",))
         assert imported.corners.names == ("typ",)
+
+    def test_base_graph_of_another_netlist_rejected(self):
+        from tests.helpers import random_small
+        module, _ = read_yosys_module(YOSYS_FIXTURE)
+        graph, _ = random_small(3)
+        with pytest.raises(FormatError, match="not an elaboration"):
+            extract_corners(read_sdf(FIXTURE), module, None,
+                            default_library(), graph)
 
     def test_unknown_member_rejected(self):
         from repro.io.frontend import load_design

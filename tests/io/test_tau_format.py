@@ -6,14 +6,9 @@ import pytest
 
 from repro import CpprEngine, TimingAnalyzer
 from repro.exceptions import FormatError
-from repro.io.tau_format import (dumps_design, load_design, loads_design,
-                                 save_design)
+from repro.io import load_design
+from repro.io.tau_format import dumps_design, loads_design, save_design
 from tests.helpers import assert_slacks_equal, demo_design, random_small
-
-# These tests deliberately exercise the deprecated legacy entry point.
-pytestmark = pytest.mark.filterwarnings(
-    "ignore:repro.io.tau_format.load_design is deprecated"
-    ":DeprecationWarning")
 
 
 class TestRoundTrip:
