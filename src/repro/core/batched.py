@@ -39,9 +39,10 @@ sweep keeps the per-element work small:
   leaves only the group to compare) — see ``_first_at``;
 * ``int32`` from-pin/group state — pin and group ids are well inside
   32 bits, so four of the six state matrices (and all slot-index
-  scratch) carry half the memory traffic.  Converting a row with
-  ``tolist`` yields the same Python ints the scalar reference holds;
-* the per-FF seed columns are built once and cached on the graph.
+  scratch) carry half the memory traffic.  Indexing a row yields the
+  same Python ints the scalar reference holds;
+* the per-FF launch and capture columns are built once and cached on
+  the graph.
 
 Bit-for-bit equivalence with the scalar reference
 (:func:`repro.cppr.propagation.propagate_dual`, one standalone pass per
@@ -69,7 +70,14 @@ exactly what that pass computes:
 The result object serves each level's slice back as the ordinary
 :class:`~repro.cppr.propagation.DualArrivalArrays` /
 :class:`~repro.core.propagate.FastDeviation` pair, so the deviation
-search and everything downstream are reused unchanged.
+search and everything downstream are reused unchanged.  The columns
+are zero-copy ``memoryview`` rows of the sweep matrices, not lists:
+a family's search reads only the pins it walks, far fewer than ``n``.
+The capture seeds come from the same columns: the first family to ask
+computes every level's seed slacks in one numpy pass
+(:meth:`BatchedLevels.capture_seeds`), with the per-FF loop's float
+operations in its order, so each family only builds its seed list.
+The seed columns live on the batch, which lives for one query.
 
 The same stacking generalizes along a second axis:
 :func:`propagate_dual_batched_corners` fuses ``C`` delay corners that
@@ -107,54 +115,33 @@ __all__ = ["BatchedLevels", "propagate_dual_batched",
 _INF = float("inf")
 
 
-class _LazyColumn:
-    """Scalar access into one row of a batched state matrix.
-
-    The fallback columns (``time1``/``from1``/``group1``) are consulted
-    only when an ``auto()`` query's excluded group matches the pin's
-    primary group — the rare case by design of the dual tuples — so
-    eagerly converting the whole row with ``tolist`` (as the hot
-    primary columns do) would cost more than every access it serves.
-    ``.item()`` converts one element per query into the same Python
-    scalar a list would have held.
-    """
-
-    __slots__ = ("row",)
-
-    def __init__(self, row: np.ndarray) -> None:
-        self.row = row
-
-    def __getitem__(self, i):
-        return self.row[i].item()
-
-    def __len__(self) -> int:
-        return len(self.row)
-
-
 class BatchedLevels:
     """The batched sweep's result: per-level views over shared matrices.
 
     ``time0 .. group1`` are the ``(D, n_pins)`` dual-tuple matrices,
-    ``cost0`` the ``(D, m_fanin)`` deviation-cost matrix; row ``d`` is
-    exactly what a standalone scalar level-``d`` pass would produce.
-    :meth:`arrays` materializes one row as the
-    :class:`~repro.cppr.propagation.DualArrivalArrays` the deviation
-    search consumes: the hot primary/cost columns as plain lists, the
-    rarely-touched fallback columns as :class:`_LazyColumn` views (the
-    fanin CSR columns are shared across levels).
+    ``cost0`` the ``(D, m_fanin)`` deviation-cost matrix and
+    ``group_matrix`` the ``(D, n_ff)`` grouping matrix the sweep was
+    seeded from; row ``d`` is exactly what a standalone scalar
+    level-``d`` pass would produce.  :meth:`arrays` serves one row as
+    the :class:`~repro.cppr.propagation.DualArrivalArrays` the
+    deviation search consumes, and :meth:`capture_seeds` the row's
+    capture seeds.
     """
 
     __slots__ = ("mode", "num_levels", "groupings", "seed_counts",
-                 "time0", "from0", "group0", "time1", "from1", "group1",
-                 "cost0", "fanin_ptr", "fanin_src", "fanin_delay")
+                 "group_matrix", "time0", "from0", "group0", "time1",
+                 "from1", "group1", "cost0", "fanin_ptr", "fanin_src",
+                 "fanin_delay", "_captures")
 
     def __init__(self, mode, num_levels, groupings, seed_counts,
-                 time0, from0, group0, time1, from1, group1,
-                 cost0, fanin_ptr, fanin_src, fanin_delay) -> None:
+                 group_matrix, time0, from0, group0, time1, from1,
+                 group1, cost0, fanin_ptr, fanin_src,
+                 fanin_delay) -> None:
         self.mode = mode
         self.num_levels = num_levels
         self.groupings = groupings
         self.seed_counts = seed_counts
+        self.group_matrix = group_matrix
         self.time0 = time0
         self.from0 = from0
         self.group0 = group0
@@ -165,6 +152,7 @@ class BatchedLevels:
         self.fanin_ptr = fanin_ptr
         self.fanin_src = fanin_src
         self.fanin_delay = fanin_delay
+        self._captures = None
 
     def grouping(self, level: int):
         """The level's :class:`~repro.cppr.grouping.LevelGrouping`."""
@@ -177,26 +165,81 @@ class BatchedLevels:
     def arrays(self, level: int):
         """Level ``level``'s slice as ordinary dual-arrival arrays.
 
-        The primary and cost columns the search touches on every edge
-        or walk pin are eagerly converted to lists; the fallback
-        columns are consulted only on an ``auto()`` group-exclusion
-        miss — rare by design of the dual tuples — where a lazy
-        per-element view is cheaper than the up-front ``tolist``.
+        Every column is a read-only ``memoryview`` of its sweep-matrix
+        row: no copy, and indexing yields the same Python
+        ``float``/``int`` a list would hold.  The views alias the
+        matrices, so a write raises instead of corrupting the other
+        families' rows (sessions, which rewrite columns in place, keep
+        their own lists).
         """
         from repro.cppr.propagation import DualArrivalArrays
 
+        def view(matrix):
+            return memoryview(matrix[level]).toreadonly()
+
         fast = FastDeviation(self.fanin_ptr, self.fanin_src,
-                             self.fanin_delay,
-                             self.cost0[level].tolist())
+                             self.fanin_delay, view(self.cost0))
         return DualArrivalArrays(
-            self.mode,
-            self.time0[level].tolist(),
-            self.from0[level].tolist(),
-            self.group0[level].tolist(),
-            _LazyColumn(self.time1[level]),
-            _LazyColumn(self.from1[level]),
-            _LazyColumn(self.group1[level]),
-            fast=fast)
+            self.mode, view(self.time0), view(self.from0),
+            view(self.group0), view(self.time1), view(self.from1),
+            view(self.group1), fast=fast)
+
+    def capture_seeds(self, level: int, analyzer) -> list:
+        """Level ``level``'s capture seeds, one per reached flip-flop.
+
+        The same :class:`~repro.cppr.deviation.CaptureSeed` list, in
+        flip-flop order and with bit-equal slacks, that the per-FF loop
+        :func:`repro.cppr.level_paths.level_capture_seeds` builds over
+        :meth:`arrays`.  The first call computes every level's seeds in
+        one pass (:meth:`_capture_columns`) and keeps them on this
+        batch; ``analyzer`` must be the one whose graph was swept.
+        """
+        from repro.cppr.deviation import CaptureSeed
+
+        graph = analyzer.graph
+        period = analyzer.constraints.clock_period
+        captures = self._captures
+        if (captures is None or captures[0] is not graph
+                or captures[1] != period):
+            captures = self._captures = (
+                graph, period, *self._capture_columns(graph, period))
+        _graph, _period, valid, slack, d_pin = captures
+        ffs = np.flatnonzero(valid[level])
+        return list(map(CaptureSeed, slack[level, ffs].tolist(),
+                        d_pin[ffs].tolist(),
+                        self.group_matrix[level, ffs].tolist(),
+                        ffs.tolist()))
+
+    def _capture_columns(self, graph: TimingGraph, clock_period):
+        """Every level's capture seeds: ``(valid, slack, d_pin)``.
+
+        ``valid[d, f]`` says whether flip-flop ``f`` seeds level ``d``'s
+        search and ``slack[d, f]`` is its seed slack.  Entry by entry
+        this is the per-FF loop: a participating flip-flop queries
+        ``at_auto(D pin, capture group)`` — the primary tuple, or the
+        fallback tuple where the primary tuple's group *is* the
+        capture group — and is skipped when that answer is empty.  The
+        slack is the same float operations in the same order:
+        ``((at_early + period) - t_setup) - t`` for setup,
+        ``t - (at_late + t_hold)`` for hold.
+        """
+        _q, _ck, node, _ce, _cl, d_pin, t_setup, t_hold = \
+            _ff_columns(graph)
+        gm = self.group_matrix
+        empty = self.mode.empty_time
+        t0 = self.time0[:, d_pin]
+        t = np.where(self.group0[:, d_pin] == gm,
+                     self.time1[:, d_pin], t0)
+        valid = (gm >= 0) & (t0 != empty) & (t != empty)
+        tree = graph.clock_tree
+        with np.errstate(invalid="ignore"):
+            if self.mode.is_setup:
+                at = np.asarray(tree._at_early, dtype=np.float64)[node]
+                slack = (at + clock_period - t_setup) - t
+            else:
+                at = np.asarray(tree._at_late, dtype=np.float64)[node]
+                slack = t - (at + t_hold)
+        return valid, slack, d_pin
 
 
 def _combine_dual_batched(state, levels, empty, is_setup, upd,
@@ -365,7 +408,11 @@ def _bucket_pads(graph: TimingGraph, core):
 
 
 def _ff_columns(graph: TimingGraph):
-    """Per-FF launch columns, built once and cached on the graph."""
+    """Per-FF launch and capture columns, built once, cached on the graph.
+
+    ``(q_pin, ck_pin, tree_node, clk_to_q_early, clk_to_q_late, d_pin,
+    t_setup, t_hold)``, indexed by flip-flop.
+    """
     cols = getattr(graph, "_batched_ff_columns", None)
     if cols is None:
         num_ffs = graph.num_ffs
@@ -374,6 +421,9 @@ def _ff_columns(graph: TimingGraph):
         node = np.empty(num_ffs, dtype=np.int64)
         ctq_early = np.empty(num_ffs, dtype=np.float64)
         ctq_late = np.empty(num_ffs, dtype=np.float64)
+        d_pin = np.empty(num_ffs, dtype=np.int64)
+        t_setup = np.empty(num_ffs, dtype=np.float64)
+        t_hold = np.empty(num_ffs, dtype=np.float64)
         for ff in graph.ffs:
             i = ff.index
             q_pin[i] = ff.q_pin
@@ -381,7 +431,11 @@ def _ff_columns(graph: TimingGraph):
             node[i] = ff.tree_node
             ctq_early[i] = ff.clk_to_q_early
             ctq_late[i] = ff.clk_to_q_late
-        cols = (q_pin, ck_pin, node, ctq_early, ctq_late)
+            d_pin[i] = ff.d_pin
+            t_setup[i] = ff.t_setup
+            t_hold[i] = ff.t_hold
+        cols = (q_pin, ck_pin, node, ctq_early, ctq_late, d_pin, t_setup,
+                t_hold)
         graph._batched_ff_columns = cols
     return cols
 
@@ -590,7 +644,8 @@ def propagate_dual_batched(graph: TimingGraph,
             groupings = _build_groupings(tree, gm, om)
 
         with _obs.span("seeds"):
-            q_pin, ck_pin, node, ctq_early, ctq_late = _ff_columns(graph)
+            q_pin, ck_pin, node, ctq_early, ctq_late, *_ = \
+                _ff_columns(graph)
             clk_to_q = ctq_late if is_setup else ctq_early
             at = np.asarray(tree._at_late if is_setup else tree._at_early,
                             dtype=np.float64)
@@ -666,7 +721,7 @@ def propagate_dual_batched(graph: TimingGraph,
                     int(visited[level]))
 
     return BatchedLevels(mode, num_levels, groupings,
-                         seed_counts.tolist(),
+                         seed_counts.tolist(), gm,
                          time0, from0, group0, time1, from1, group1,
                          cost0, core.fanin_ptr_list, core.fanin_src_list,
                          delay_list)
@@ -729,7 +784,8 @@ def propagate_dual_batched_corners(graphs, mode: AnalysisMode
                 groupings.append(_build_groupings(g.clock_tree, gm, om))
 
         with _obs.span("seeds"):
-            q_pin, ck_pin, node, ctq_early, ctq_late = _ff_columns(base)
+            q_pin, ck_pin, node, ctq_early, ctq_late, *_ = \
+                _ff_columns(base)
             clk_to_q = ctq_late if is_setup else ctq_early
             timeS = np.full((2 * levels, n), empty, dtype=np.float64)
             fromS = np.full((2 * levels, n), NO_NODE, dtype=np.int32)
@@ -824,7 +880,7 @@ def propagate_dual_batched_corners(graphs, mode: AnalysisMode
     for ci in range(C):
         lo, hi = ci * D, (ci + 1) * D
         results.append(BatchedLevels(
-            mode, D, groupings[ci], seed_counts[ci].tolist(),
+            mode, D, groupings[ci], seed_counts[ci].tolist(), gms[ci],
             time0[lo:hi], from0[lo:hi], group0[lo:hi],
             time1[lo:hi], from1[lo:hi], group1[lo:hi],
             cost0[lo:hi], structure.fanin_ptr_list,

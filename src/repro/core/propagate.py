@@ -73,8 +73,12 @@ class FastDeviation:
     end only when its primary tuple's group is excluded — see
     ``run_topk`` in :mod:`repro.cppr.deviation`.
 
-    All columns are plain Python lists: the search walks them one
-    element at a time, where list indexing beats numpy scalar access.
+    The search walks the columns one element at a time, where list
+    indexing beats numpy scalar access.  ``ptr``/``src``/``delay`` are
+    Python lists shared by every pass over the graph; ``cost0`` is a
+    list for the ungrouped passes and a ``memoryview`` of the batched
+    sweep's cost row for a level, which indexes to the same Python
+    floats without an ``O(m)`` conversion per level.
     """
 
     __slots__ = ("ptr", "src", "delay", "cost0")

@@ -14,6 +14,16 @@ others can never be reported and is evicted via the min-max heap's
 delete-max.  This yields the ``O(k)`` live-path bound behind the paper's
 space-complexity theorem.
 
+The same bound pre-selects the seeds.  The heap orders entries by
+(key, insertion order) and every seed is pushed before the first pop,
+so bounded pushes of all seeds would keep exactly the ``capacity``
+first in (slack, input order) and reject or evict every other one
+before it could pop.  The search therefore pushes only
+``heapq.nsmallest(capacity, seeds)`` — stable, so ties keep their input
+order — and the heap then holds the same entries in the same order
+(``docs/PROOFS.md`` L6).  ``deviation.seeds`` still counts every seed;
+``heap.reject`` and ``heap.evict`` count deviation pushes only.
+
 The same engine serves all candidate families; grouped passes supply
 :class:`~repro.cppr.propagation.DualArrivalArrays` (whose ``auto`` honours
 the excluded group) and ungrouped passes supply
@@ -27,11 +37,16 @@ edge — ``cost0[i]`` plus a per-pin adjustment when the popped tuple is
 not the pin's primary one — and only falls back to an ``auto()`` query
 for the rare edge whose source's primary group is the excluded group.
 Both loops compute identical costs; the scalar loop is the reference.
+The search only indexes the arrival and cost columns, so they may be
+Python lists or, for a batched level, zero-copy ``memoryview`` rows of
+the sweep matrices.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Protocol
 
 from repro.circuit.graph import TimingGraph
@@ -61,6 +76,9 @@ class CaptureSeed:
     capture_pin: int
     group: int = NO_GROUP
     capture_ff: int | None = None
+
+
+_slack = attrgetter("slack")
 
 
 @dataclass(frozen=True, slots=True)
@@ -165,13 +183,14 @@ def run_topk(graph: TimingGraph, arrays: _ArrivalArrays,
     edges_explored = 0
     edges_generated = 0
 
+    # Only the ``capacity`` best seeds, in (slack, input order), can
+    # ever pop; pushing just those leaves the heap exactly as pushing
+    # every seed would (see module docstring).
     heap = MinMaxHeap()
-    for seed in seeds:
-        heap.push_bounded(
-            seed.slack,
-            _SearchState(seed.capture_pin, seed.group, (),
-                         seed.capture_pin, seed.capture_ff),
-            capacity)
+    for seed in heapq.nsmallest(capacity, seeds, key=_slack):
+        heap.push(seed.slack,
+                  _SearchState(seed.capture_pin, seed.group, (),
+                               seed.capture_pin, seed.capture_ff))
 
     results: list[SearchResult] = []
     while heap and len(results) < k:

@@ -534,7 +534,7 @@ class CpprEngine:
                 with _obs.span("stage", "shm_publish"):
                     for name, analyzer in items:
                         ctx = shard_ctxs[name] = _shard.open_query(
-                            analyzer, batches[name], mode,
+                            analyzer, batches[name],
                             publish_batch=(self.options.executor
                                            == "process"))
                         if ctx.error is None:

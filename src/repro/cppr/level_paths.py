@@ -21,7 +21,7 @@ from repro.obs import collector as _obs
 from repro.sta.modes import AnalysisMode
 from repro.sta.timing import TimingAnalyzer
 
-__all__ = ["paths_at_level"]
+__all__ = ["level_capture_seeds", "paths_at_level"]
 
 
 def paths_at_level(analyzer: TimingAnalyzer, level: int, k: int,
@@ -40,10 +40,45 @@ def paths_at_level(analyzer: TimingAnalyzer, level: int, k: int,
     ``batch`` when the caller pre-computed one (then only the deviation
     search runs here, which is what lets the engine's executors still
     parallelize the searches), otherwise a sweep built by this call.
+    The capture seeds come from the same place as the arrays: the
+    batch's :meth:`capture_seeds`, or :func:`level_capture_seeds` over
+    the scalar pass.
     """
     with _obs.span("level", level):
         return _paths_at_level(analyzer, level, k, mode, heap_capacity,
                                backend, batch)
+
+
+def level_capture_seeds(analyzer: TimingAnalyzer, grouping, arrays,
+                        mode: AnalysisMode) -> list[CaptureSeed]:
+    """The best path into each capture point of one level family.
+
+    One seed per participating flip-flop whose D pin ``at_auto``
+    reaches with its capture group excluded (Algorithm 5 lines 3-7),
+    in flip-flop order, ranked by the level's slack.  This loop is the
+    scalar and session implementation;
+    :meth:`repro.core.batched.BatchedLevels.capture_seeds` computes the
+    same list for every level of a batched sweep at once.
+    """
+    graph = analyzer.graph
+    tree = graph.clock_tree
+    clock_period = analyzer.constraints.clock_period
+    capture_seeds = []
+    for ff in graph.ffs:
+        if not grouping.participates(ff.index):
+            continue
+        capture_group = grouping.group[ff.index]
+        record = arrays.auto(ff.d_pin, capture_group)
+        if record is None:
+            continue
+        if mode.is_setup:
+            slack = (tree.at_early(ff.tree_node) + clock_period
+                     - ff.t_setup - record[0])
+        else:
+            slack = record[0] - (tree.at_late(ff.tree_node) + ff.t_hold)
+        capture_seeds.append(
+            CaptureSeed(slack, ff.d_pin, capture_group, ff.index))
+    return capture_seeds
 
 
 def _paths_at_level(analyzer: TimingAnalyzer, level: int, k: int,
@@ -52,7 +87,6 @@ def _paths_at_level(analyzer: TimingAnalyzer, level: int, k: int,
     mode = AnalysisMode.coerce(mode)
     graph = analyzer.graph
     tree = graph.clock_tree
-    clock_period = analyzer.constraints.clock_period
 
     if batch is None and backend == "array":
         from repro.core.batched import propagate_dual_batched
@@ -65,6 +99,7 @@ def _paths_at_level(analyzer: TimingAnalyzer, level: int, k: int,
             return []
         with _obs.span("propagate.slice"):
             arrays = batch.arrays(level)
+        capture_seeds = batch.capture_seeds(level, analyzer)
     else:
         grouping = group_for_level(tree, level, graph.num_ffs)
 
@@ -85,22 +120,8 @@ def _paths_at_level(analyzer: TimingAnalyzer, level: int, k: int,
             return []
         with _obs.span("propagate"):
             arrays = propagate_dual(graph, mode, seeds)
-
-    capture_seeds = []
-    for ff in graph.ffs:
-        if not grouping.participates(ff.index):
-            continue
-        capture_group = grouping.group[ff.index]
-        record = arrays.auto(ff.d_pin, capture_group)
-        if record is None:
-            continue
-        if mode.is_setup:
-            slack = (tree.at_early(ff.tree_node) + clock_period
-                     - ff.t_setup - record[0])
-        else:
-            slack = record[0] - (tree.at_late(ff.tree_node) + ff.t_hold)
-        capture_seeds.append(
-            CaptureSeed(slack, ff.d_pin, capture_group, ff.index))
+        capture_seeds = level_capture_seeds(analyzer, grouping, arrays,
+                                            mode)
 
     with _obs.span("search"):
         results = run_topk(graph, arrays, capture_seeds, k, mode,

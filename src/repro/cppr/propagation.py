@@ -35,8 +35,9 @@ pre-sorted level buckets.  :class:`repro.cppr.tuples.DualArrival` is
 the readable per-pin reference all are tested against.
 
 Both store tuples in parallel arrays rather than per-pin objects: the
-per-level passes dominate the engine's runtime, and flat lists of floats
-and ints keep the inner loop tight.
+per-level passes dominate the engine's runtime, and flat columns of
+floats and ints (lists, or ``memoryview`` rows of the batched sweep)
+keep the inner loop tight.
 
 Both array types expose the same ``auto(pin, excluded_group)`` query (the
 paper's ``at_auto``), so the deviation search in
@@ -46,7 +47,7 @@ paper's ``at_auto``), so the deviation search in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from repro.circuit.graph import TimingGraph
 from repro.cppr.tuples import NO_GROUP, NO_NODE
@@ -76,21 +77,22 @@ class Seed:
 class DualArrivalArrays:
     """Array-of-fields storage for the dual tuples of Table II.
 
-    Two producers build these: the scalar loop below and the batched
-    sweep's per-level slices
-    (:meth:`repro.core.batched.BatchedLevels.arrays`) — bit-for-bit
-    identical.  ``fast`` carries the precomputed deviation-cost columns
+    Two producers build these: the scalar loop below, whose columns
+    are lists, and the batched sweep's per-level slices
+    (:meth:`repro.core.batched.BatchedLevels.arrays`), whose columns
+    are read-only ``memoryview`` rows — bit-for-bit identical.  ``fast``
+    carries the precomputed deviation-cost columns
     (:class:`repro.core.propagate.FastDeviation`) when the batched
     sweep built this instance; the scalar loop leaves it ``None``.
     """
 
     mode: AnalysisMode
-    time0: list[float]
-    from0: list[int]
-    group0: list[int]
-    time1: list[float]
-    from1: list[int]
-    group1: list[int]
+    time0: Sequence[float]
+    from0: Sequence[int]
+    group0: Sequence[int]
+    time1: Sequence[float]
+    from1: Sequence[int]
+    group1: Sequence[int]
     fast: object | None = None
 
     def auto(self, pin: int,

@@ -230,8 +230,7 @@ class ShardContext:
             shutdown_pool()
 
 
-def open_query(analyzer, batch, mode, *,
-               publish_batch: bool) -> ShardContext:
+def open_query(analyzer, batch, *, publish_batch: bool) -> ShardContext:
     """Publish one query's plane and return its :class:`ShardContext`.
 
     ``batch`` is the parent's :class:`~repro.core.batched.BatchedLevels`
@@ -334,8 +333,8 @@ def _resolve_batch(analyzer, core, desc: FamilyDescriptor):
     Owner process (and workers forked after :func:`open_query`
     registered it): the live object from :data:`_QUERY_BATCHES`.  Other
     pool workers: rebuilt from the attached segment — the six state
-    matrices and the cost matrix map in place; groupings, seed counts
-    and the fanin columns are rederived from the
+    matrices and the cost matrix map in place; the grouping matrix,
+    groupings, seed counts and the fanin columns are rederived from the
     (fork-inherited) clock tree and the resolved core.  Cached per
     batch key in a small bounded map (multi-corner queries keep one
     attachment per corner alive at once); the oldest attachment is
@@ -366,7 +365,7 @@ def _resolve_batch(analyzer, core, desc: FamilyDescriptor):
     delay_list = (core.fanin_late_list if mode.is_setup
                   else core.fanin_early_list)
     batch = BatchedLevels(
-        mode, num_levels, groupings, seed_counts,
+        mode, num_levels, groupings, seed_counts, gm,
         views["time0"], views["from0"], views["group0"],
         views["time1"], views["from1"], views["group1"],
         views["cost0"], core.fanin_ptr_list, core.fanin_src_list,

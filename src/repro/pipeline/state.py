@@ -33,6 +33,7 @@ import math
 
 from repro.circuit.graph import TimingGraph
 from repro.cppr.grouping import group_for_level
+from repro.cppr.level_paths import level_capture_seeds
 from repro.obs import collector as _obs
 from repro.cppr.propagation import (DualArrivalArrays, Seed,
                                     SingleArrivalArrays, propagate_dual,
@@ -437,7 +438,7 @@ class SessionBatch:
     """A :class:`ModeState` view speaking the batched-levels protocol.
 
     ``paths_at_level(..., batch=session_batch)`` consumes the level's
-    maintained columns exactly as it would a
+    maintained columns, and their capture seeds, exactly as it would a
     :class:`~repro.core.batched.BatchedLevels` slice;
     :meth:`single_arrays` serves the ungrouped families through the
     passes' ``arrays=`` parameter.
@@ -474,6 +475,10 @@ class SessionBatch:
         return DualArrivalArrays(
             self.state.mode, row.time0, row.from0, row.group0,
             row.time1, row.from1, row.group1, fast=self._fast(row.cost0))
+
+    def capture_seeds(self, level: int, analyzer) -> list:
+        return level_capture_seeds(analyzer, self.grouping(level),
+                                   self.arrays(level), self.state.mode)
 
     def single_arrays(self, row: SingleState) -> SingleArrivalArrays:
         return SingleArrivalArrays(self.state.mode, row.time,

@@ -79,3 +79,21 @@ def test_counters_cover_every_level():
     # A level with no seeds visits no pins, and vice versa.
     for s, v in zip(seeds, visited):
         assert (s == 0) == (v == 0)
+
+
+def test_level_columns_are_read_only_views_of_the_sweep():
+    # No per-level copy: every column aliases its sweep-matrix row, and
+    # a write raises instead of reaching the other families' rows.
+    graph, _constraints = demo_design()
+    batch = propagate_dual_batched(graph, AnalysisMode.SETUP)
+    arrays = batch.arrays(1)
+    columns = {"time0": arrays.time0, "from0": arrays.from0,
+               "group0": arrays.group0, "time1": arrays.time1,
+               "from1": arrays.from1, "group1": arrays.group1,
+               "cost0": arrays.fast.cost0}
+    for name, column in columns.items():
+        assert isinstance(column, memoryview), name
+        assert np.shares_memory(np.asarray(column),
+                                getattr(batch, name)[1]), name
+        with pytest.raises(TypeError):
+            column[0] = column[0]

@@ -217,8 +217,7 @@ class TestEngineCornerAxis:
         engine = CpprEngine(analyzer, CpprOptions(backend="array"))
         batch = propagate_dual_batched(analyzer.graph,
                                        AnalysisMode.SETUP)
-        ctx = shard.open_query(analyzer, batch, AnalysisMode.SETUP,
-                               publish_batch=False)
+        ctx = shard.open_query(analyzer, batch, publish_batch=False)
         try:
             desc = ctx.descriptor(("level", 0), 3, AnalysisMode.SETUP,
                                   None, "array", False, corner="slow")

@@ -51,7 +51,7 @@ class TestDescriptors:
         engine = CpprEngine(analyzer)  # forces the array core to exist
         engine.top_paths(1, mode)
         batch = propagate_dual_batched(analyzer.graph, mode)
-        ctx = shard.open_query(analyzer, batch, mode, publish_batch=True)
+        ctx = shard.open_query(analyzer, batch, publish_batch=True)
         try:
             tasks = [("level", d) for d
                      in range(analyzer.clock_tree.num_levels)]
@@ -71,7 +71,7 @@ class TestDescriptors:
         mode = AnalysisMode.SETUP
         CpprEngine(analyzer).top_paths(1, mode)
         batch = propagate_dual_batched(analyzer.graph, mode)
-        ctx = shard.open_query(analyzer, batch, mode, publish_batch=True)
+        ctx = shard.open_query(analyzer, batch, publish_batch=True)
         try:
             desc = ctx.descriptor(("level", 0), 4, mode, None, "array",
                                   False)
@@ -86,7 +86,7 @@ class TestDescriptors:
         analyzer = _analyzer(23)
         mode = AnalysisMode.SETUP
         CpprEngine(analyzer).top_paths(1, mode)
-        ctx = shard.open_query(analyzer, None, mode, publish_batch=False)
+        ctx = shard.open_query(analyzer, None, publish_batch=False)
         try:
             desc = ctx.descriptor(("self_loop",), 4, mode, None,
                                   "array", False)
@@ -103,7 +103,7 @@ class TestDescriptors:
         mode = AnalysisMode.SETUP
         CpprEngine(analyzer).top_paths(1, mode)
         batch = propagate_dual_batched(analyzer.graph, mode)
-        ctx = shard.open_query(analyzer, batch, mode, publish_batch=True)
+        ctx = shard.open_query(analyzer, batch, publish_batch=True)
         assert ctx.batch_layout is not None
         assert ctx.batch_layout.segment in shm.REGISTRY.segments()
         ctx.close()

@@ -156,10 +156,11 @@ def assert_batched_rows_match_scalar(graph: TimingGraph, mode) -> None:
             continue
         assert batch.num_seeds(level) > 0
         got = batch.arrays(level)
-        assert got.time0 == ref.time0
-        assert got.from0 == ref.from0
-        assert got.group0 == ref.group0
-        # Fallback columns are lazy views; every element must match.
+        # The columns are views of the sweep rows; every element must
+        # match.
+        assert list(got.time0) == ref.time0
+        assert list(got.from0) == ref.from0
+        assert list(got.group0) == ref.group0
         assert list(got.time1) == ref.time1
         assert list(got.from1) == ref.from1
         assert list(got.group1) == ref.group1
