@@ -22,7 +22,7 @@ on leon2 — hard-fails unless sessions are >= 3x faster at <= 1% dirty
 with bit-identical reports), ``faults`` writes ``BENCH_faults.json``
 (clean-path overhead of the resilient scheduler, capped at 3%, plus
 chaos report-identity checks), ``parallel`` writes
-``BENCH_parallel.json`` (shared-memory process-pool scaling at 1-4
+``BENCH_parallel.json`` (fork process-pool scaling at 1-4
 workers on leon2 plus the executor x substrate report-identity
 matrix — the >= 2.5x speedup gate hard-fails on machines with >= 4
 CPUs), ``corners`` writes ``BENCH_corners.json`` (one fused
@@ -610,25 +610,23 @@ def run_profile(args) -> None:
 
 
 # ----------------------------------------------------------------------
-# Parallel (zero-copy memory plane: scaling + executor identity)
+# Parallel (process sharding: scaling + executor identity)
 # ----------------------------------------------------------------------
 def run_parallel(args) -> None:
-    """Shared-memory process sharding: scaling and the identity matrix.
+    """Process sharding: scaling and the identity matrix.
 
     Two gates on leon2.  First, every executor x substrate combination
     (serial/thread/process x scalar/array) must reproduce the
-    first combination's top-k reports bit for bit — the memory plane's
-    descriptor path may never change an answer.  Second, the process
-    pool at 1-4 workers is timed against the serial baseline; on a
-    machine where real scaling is possible (>= 4 effective CPUs, fork
-    support, shared memory up) the 4-worker run must be >= 2.5x faster
+    first combination's top-k reports bit for bit — the descriptor
+    path may never change an answer.  Second, the process pool at 1-4
+    workers is timed against the serial baseline; on a machine where
+    real scaling is possible (>= 4 effective CPUs and fork support) the
+    4-worker run must be >= 2.5x faster
     than serial, and the ``gate_enforced`` flag in the payload records
     whether that hard gate applied.  Speedups always feed the
     ``repro bench-check`` rolling baseline either way.
     """
     import os
-
-    from repro.core import shm as _shm
 
     design = "leon2"
     k = 100  # pinned (Figure 6's protocol) so the speedup baselines
@@ -637,8 +635,7 @@ def run_parallel(args) -> None:
     cpus = (len(os.sched_getaffinity(0))
             if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
     have_fork = "process" in available_executors()
-    shm_up = _shm.available()
-    gate_enforced = have_fork and shm_up and cpus >= 4
+    gate_enforced = have_fork and cpus >= 4
     analyzer = get_analyzer(design, args.scale)
     payload = {
         "schema": "repro.bench/parallel@1",
@@ -646,7 +643,6 @@ def run_parallel(args) -> None:
         "k": k,
         "design": design,
         "cpus": cpus,
-        "shm_available": shm_up,
         "min_speedup": min_speedup,
         "gate_enforced": gate_enforced,
         "identity": {},
@@ -681,7 +677,7 @@ def run_parallel(args) -> None:
               f"{'/'.join(executors)} ok", file=sys.stderr)
     payload["identity"] = {"combos": combos, "reports_identical": True}
 
-    lines = [f"# Parallel — shared-memory process sharding on {design}, "
+    lines = [f"# Parallel — process sharding on {design}, "
              f"k={k}, setup + hold per run", "",
              f"Identity: {combos} executor x substrate combinations, "
              f"reports bit-identical.", "",
@@ -716,12 +712,12 @@ def run_parallel(args) -> None:
               f"({speedup:.2f}x)", file=sys.stderr)
     lines += ["", f"{cpus} effective CPUs; >= {min_speedup:.1f}x gate "
                   + ("ENFORCED" if gate_enforced else "not enforced "
-                     "(needs >= 4 CPUs, fork, and shared memory)")
+                     "(needs >= 4 CPUs and fork)")
                   + "."]
     if gate_enforced and speedup_at_4 < min_speedup:
         raise SystemExit(
             f"[parallel] TOO SLOW on {design}: {speedup_at_4:.2f}x at "
-            f"4 process workers (the memory plane must deliver >= "
+            f"4 process workers (the process pool must deliver >= "
             f"{min_speedup:.1f}x over serial on a >= 4-CPU machine)")
     RESULTS_DIR.mkdir(exist_ok=True)
     write_bench_profile(RESULTS_DIR / "BENCH_parallel.json", payload)

@@ -214,8 +214,7 @@ class CoreValues:
     """
 
     __slots__ = ("edge_early", "edge_late", "fanin_early", "fanin_late",
-                 "_fanin_early_list", "_fanin_late_list", "_version",
-                 "_version_slot", "shm_layout", "__weakref__")
+                 "_fanin_early_list", "_fanin_late_list", "version")
 
     def __init__(self, edge_early: np.ndarray, edge_late: np.ndarray,
                  fanin_early: np.ndarray, fanin_late: np.ndarray) -> None:
@@ -225,9 +224,7 @@ class CoreValues:
         self.fanin_late = fanin_late
         self._fanin_early_list = None
         self._fanin_late_list = None
-        self._version = 0
-        self._version_slot = None
-        self.shm_layout = None
+        self.version = 0
 
     # The scalar-walk mirrors are built on first use: a setup query
     # only ever reads the late list (and hold the early one), and a
@@ -246,50 +243,6 @@ class CoreValues:
         if mirror is None:
             mirror = self._fanin_late_list = self.fanin_late.tolist()
         return mirror
-
-    @property
-    def version(self) -> int:
-        return self._version
-
-    @version.setter
-    def version(self, value: int) -> None:
-        # Mirror every bump into the published segment's version slot,
-        # so attached readers holding an older descriptor detect the
-        # update (ShmStaleError) instead of reading mixed values.
-        self._version = value
-        if self._version_slot is not None:
-            self._version_slot[0] = value
-
-    # ------------------------------------------------------------------
-    # The shared-memory plane
-    # ------------------------------------------------------------------
-    def to_shared(self, kind: str = "values"):
-        """Publish the delay columns into a shared-memory segment.
-
-        Rebinds the four arrays to *writable* segment-backed views, so
-        subsequent :meth:`CoreArrays.apply_value_updates` rewrites hit
-        shared pages directly — an ECO patch republishes nothing, it
-        just bumps the version slot.  Returns the picklable layout;
-        idempotent on repeat calls.
-        """
-        from repro.core import shm as _shm
-        if self.shm_layout is not None:
-            return self.shm_layout
-        layout, views = _shm.REGISTRY.publish(
-            kind,
-            {"edge_early": self.edge_early, "edge_late": self.edge_late,
-             "fanin_early": self.fanin_early,
-             "fanin_late": self.fanin_late},
-            version=self._version)
-        self.edge_early = views["edge_early"]
-        self.edge_late = views["edge_late"]
-        self.fanin_early = views["fanin_early"]
-        self.fanin_late = views["fanin_late"]
-        self._version_slot = _shm.REGISTRY.version_slot(layout)
-        self.shm_layout = layout
-        import weakref
-        weakref.finalize(self, _shm.REGISTRY.release, layout.segment)
-        return layout
 
 
 class CoreArrays:
@@ -312,7 +265,7 @@ class CoreArrays:
                     "a shared CoreStructure needs explicit CoreValues")
             self.structure = structure
             self.values = values
-            self._build_buckets(shared_from=None)
+            self._build_buckets()
             return
         self._build(graph)
 
@@ -367,32 +320,15 @@ class CoreArrays:
         self.structure = s
         self.values = CoreValues(edge_early, edge_late,
                                  early[fanin_order], late[fanin_order])
-        self._build_buckets(shared_from=None)
+        self._build_buckets()
 
-    def _build_buckets(self, shared_from) -> None:
+    def _build_buckets(self) -> None:
         s, v = self.structure, self.values
         self.level_buckets = []
         for lo, hi in s.bucket_spans:
             self.level_buckets.append(LevelBucket(
                 s.edge_src[lo:hi], s.edge_dst[lo:hi],
                 v.edge_early[lo:hi], v.edge_late[lo:hi]))
-
-    # ------------------------------------------------------------------
-    # The shared-memory plane
-    # ------------------------------------------------------------------
-    def share_values(self, kind: str = "values"):
-        """Publish the value columns and rebind the level buckets.
-
-        After this, the buckets' ``early``/``late`` views alias the
-        shared segment, so every consumer of this core (STA, CPPR
-        passes, batched propagation) reads the same pages workers
-        attach.  Returns the values :class:`~repro.core.shm.BufferLayout`.
-        """
-        already = self.values.shm_layout is not None
-        layout = self.values.to_shared(kind)
-        if not already:
-            self._build_buckets(shared_from=None)
-        return layout
 
     # ------------------------------------------------------------------
     # Incremental value rewrites (the pipeline's ``values`` stage)

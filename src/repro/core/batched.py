@@ -440,21 +440,22 @@ def _ff_columns(graph: TimingGraph):
     return cols
 
 
-def _sweep(graph: TimingGraph, core, state, levels, empty, is_setup,
-           candidates) -> None:
+def _sweep(graph: TimingGraph, cores, state, D, empty, is_setup) -> None:
     """Relax every level bucket over the stacked dual-tuple state.
 
-    ``levels`` is the row-half size of ``state`` (``D`` for a
-    single-graph sweep, ``C * D`` for the corner-fused one) and
-    ``candidates(bi, b)`` produces bucket ``bi``'s stacked candidate
-    matrix — the current source state plus the bucket's edge delays,
-    shaped ``(2 * levels, m)``.  Everything else here — segment
-    geometry, reductions, argmin recovery, the dual-state combine — is
-    row-count agnostic, which is what lets
-    :func:`propagate_dual_batched_corners` reuse this body unchanged
-    for ``C`` stacked corners.
+    ``state`` stacks ``C = len(cores)`` corners of ``D`` levels each, so
+    each row half holds ``C * D`` rows.  A bucket's candidate matrix is
+    the gathered source state plus each corner's edge delays: the
+    ``(C, m)`` delay rows broadcast against a ``(2, C, D, m)`` view, so
+    every corner block sees exactly its own ``timeS[:, src] + delay``
+    element-wise adds.  Everything after that — segment geometry,
+    reductions, argmin recovery, the dual-state combine — is row-count
+    agnostic.
     """
     timeS, fromS, groupS = state
+    C = len(cores)
+    levels = C * D
+    core = cores[0]
     reduce_best = np.maximum.reduceat if is_setup else np.minimum.reduceat
     pick_best = np.maximum if is_setup else np.minimum
     slots_cache: dict[int, np.ndarray] = {}
@@ -462,7 +463,13 @@ def _sweep(graph: TimingGraph, core, state, levels, empty, is_setup,
     for bi, b in enumerate(core.level_buckets):
         pad, virgin = pads[bi]
         src = b.src
-        tS = candidates(bi, b)
+        m = len(src)
+        if is_setup:
+            delays = np.stack([c.level_buckets[bi].late for c in cores])
+        else:
+            delays = np.stack([c.level_buckets[bi].early for c in cores])
+        tS = (timeS[:, src].reshape(2, C, D, m)
+              + delays[None, :, None, :]).reshape(2 * levels, m)
         ta, tb = tS[:levels], tS[levels:]
         # Buckets whose sources carry no fallback state yet
         # (common near the launch seeds) skip the whole
@@ -470,7 +477,6 @@ def _sweep(graph: TimingGraph, core, state, levels, empty, is_setup,
         # best is the A-side result and every B-side
         # candidate loses its tie-break or validity guard.
         has_b = (tb != empty).any()
-        m = len(src)
         src32 = src.astype(np.int32)
         if len(b.seg_dst) == m:
             # Every destination has exactly one edge in this
@@ -627,104 +633,11 @@ def _sweep(graph: TimingGraph, core, state, levels, empty, is_setup,
 
 def propagate_dual_batched(graph: TimingGraph,
                            mode: AnalysisMode) -> BatchedLevels:
-    """Run the grouped forward pass for **all** levels in one sweep."""
-    mode = AnalysisMode.coerce(mode)
-    faults.check("numpy.import")
-    core = get_core(graph)
-    tree = graph.clock_tree
-    num_levels = tree.num_levels
-    n = graph.num_pins
-    num_ffs = graph.num_ffs
-    empty = mode.empty_time
-    is_setup = mode.is_setup
+    """Run the grouped forward pass for **all** levels in one sweep.
 
-    with _obs.span("propagate.batched"):
-        with _obs.span("grouping"):
-            gm, om = group_matrix(tree, num_ffs)
-            groupings = _build_groupings(tree, gm, om)
-
-        with _obs.span("seeds"):
-            q_pin, ck_pin, node, ctq_early, ctq_late, *_ = \
-                _ff_columns(graph)
-            clk_to_q = ctq_late if is_setup else ctq_early
-            at = np.asarray(tree._at_late if is_setup else tree._at_early,
-                            dtype=np.float64)
-            # Same association as the scalar seed formula:
-            # (clock arrival + clk-to-q) -/+ launch offset.
-            base = at[node] + clk_to_q
-            q_time = base - om if is_setup else base + om
-
-            # Best tuple in rows 0..D-1, fallback tuple in rows D..2D-1:
-            # one stacked matrix per field means every sweep gather and
-            # element-wise step handles both halves with a single numpy
-            # dispatch (the batch rows are small, so the sweep is
-            # dispatch-bound, not bandwidth-bound).
-            timeS = np.full((2 * num_levels, n), empty, dtype=np.float64)
-            fromS = np.full((2 * num_levels, n), NO_NODE, dtype=np.int32)
-            groupS = np.full((2 * num_levels, n), NO_GROUP,
-                             dtype=np.int32)
-            time0, time1 = timeS[:num_levels], timeS[num_levels:]
-            from0, from1 = fromS[:num_levels], fromS[num_levels:]
-            group0, group1 = groupS[:num_levels], groupS[num_levels:]
-            state = (timeS, fromS, groupS)
-
-            part = gm >= 0
-            rows, cols = np.nonzero(part)
-            # Q pins are distinct per flip-flop, so seeding is a plain
-            # scatter — no per-pin merge.
-            time0[rows, q_pin[cols]] = q_time[rows, cols]
-            from0[rows, q_pin[cols]] = ck_pin[cols]
-            group0[rows, q_pin[cols]] = gm[rows, cols]
-            seed_counts = part.sum(axis=1)
-            num_seeds = int(seed_counts.sum())
-
-        with _obs.span("sweep"):
-            if num_seeds:
-                def candidates(bi, b):
-                    delay = b.late if is_setup else b.early
-                    return timeS[:, b.src] + delay
-
-                _sweep(graph, core, state, num_levels, empty, is_setup,
-                       candidates)
-
-        with _obs.span("deviation_costs"):
-            with np.errstate(invalid="ignore"):
-                if is_setup:
-                    cost0 = time0[:, core.fanin_dst]
-                    np.subtract(cost0, time0[:, core.fanin_src],
-                                out=cost0)
-                    np.subtract(cost0, core.fanin_late, out=cost0)
-                    delay_list = core.fanin_late_list
-                else:
-                    cost0 = time0[:, core.fanin_src]
-                    np.add(cost0, core.fanin_early, out=cost0)
-                    np.subtract(cost0, time0[:, core.fanin_dst],
-                                out=cost0)
-                    delay_list = core.fanin_early_list
-            # Any non-finite cost (unreached endpoint, or inf - inf =
-            # nan) means "no deviation here": collapse them all to +inf
-            # in one in-place pass.
-            np.nan_to_num(cost0, copy=False,
-                          nan=_INF, posinf=_INF, neginf=_INF)
-
-    col = _obs.ACTIVE
-    if col is not None:
-        visited = (time0 != empty).sum(axis=1)
-        col.add("batched.builds")
-        col.add("batched.levels", num_levels)
-        col.add("propagation.seeds", num_seeds)
-        col.add("propagation.pins_visited", int(visited.sum()))
-        for level in range(num_levels):
-            col.add(f"batched.seeds.level[{level}]",
-                    int(seed_counts[level]))
-            col.add(f"batched.pins_visited.level[{level}]",
-                    int(visited[level]))
-
-    return BatchedLevels(mode, num_levels, groupings,
-                         seed_counts.tolist(), gm,
-                         time0, from0, group0, time1, from1, group1,
-                         cost0, core.fanin_ptr_list, core.fanin_src_list,
-                         delay_list)
+    The single-corner case of :func:`propagate_dual_batched_corners`.
+    """
+    return propagate_dual_batched_corners([graph], mode)[0]
 
 
 def propagate_dual_batched_corners(graphs, mode: AnalysisMode
@@ -733,26 +646,25 @@ def propagate_dual_batched_corners(graphs, mode: AnalysisMode
 
     ``graphs`` are the corner-realized graphs: same topology, one
     shared :class:`~repro.core.arrays.CoreStructure`, per-corner
-    :class:`~repro.core.arrays.CoreValues` columns and clock trees.
-    The dual-tuple state is stacked a second time — ``(2 * C * D, n)``
-    with corner ``c``'s level-``d`` best row at ``c * D + d`` — so the
-    whole multi-corner analysis pays *one* grouping-matrix application,
-    one relaxation per level bucket, and one deviation-cost pass
-    instead of ``C`` of each.  Per-bucket edge delays broadcast through
-    a ``(2, C, D, m)`` reshape view, and per-corner fanin delays
-    through a ``(C, D, m_fanin)`` view, so every corner's rows see the
-    exact IEEE-754 operation sequence of its standalone
-    :func:`propagate_dual_batched` — the returned list of per-corner
-    :class:`BatchedLevels` (row-slice views into the stacked matrices)
-    is bit-for-bit what ``C`` independent builds would produce.
+    :class:`~repro.core.arrays.CoreValues` columns and clock trees (a
+    single graph is the ``C = 1`` case).  The dual-tuple state is
+    stacked a second time — ``(2 * C * D, n)`` with corner ``c``'s
+    level-``d`` best row at ``c * D + d`` — so the whole multi-corner
+    analysis pays *one* grouping-matrix application, one relaxation per
+    level bucket, and one deviation-cost pass instead of ``C`` of each.
+    Per-bucket edge delays broadcast through a ``(2, C, D, m)`` reshape
+    view, and per-corner fanin delays through a ``(C, D, m_fanin)``
+    view, so every corner's rows see the element-wise IEEE-754
+    operation sequence of a ``C = 1`` build of that corner alone — the
+    returned list of per-corner :class:`BatchedLevels` (row-slice views
+    into the stacked matrices) is bit-for-bit what ``C`` independent
+    builds would produce.
 
     Counters: one ``batched.builds``, ``batched.corners`` = ``C``,
     ``batched.levels`` = ``C * D`` (total stacked rows), seed/visit
     totals and per-level breakdowns summed across corners.
     """
     mode = AnalysisMode.coerce(mode)
-    if len(graphs) == 1:
-        return [propagate_dual_batched(graphs[0], mode)]
     faults.check("numpy.import")
     base = graphs[0]
     cores = [get_core(g) for g in graphs]
@@ -814,25 +726,7 @@ def propagate_dual_batched_corners(graphs, mode: AnalysisMode
 
         with _obs.span("sweep"):
             if num_seeds:
-                def candidates(bi, b):
-                    m = len(b.src)
-                    # (C, m) per-corner delay rows broadcast against a
-                    # (2, C, D, m) view of the gathered source state:
-                    # each corner block sees exactly its standalone
-                    # ``timeS[:, src] + delay`` element-wise adds.
-                    if is_setup:
-                        delays = np.stack(
-                            [c.level_buckets[bi].late for c in cores])
-                    else:
-                        delays = np.stack(
-                            [c.level_buckets[bi].early for c in cores])
-                    gathered = timeS[:, b.src]
-                    return (gathered.reshape(2, C, D, m)
-                            + delays[None, :, None, :]
-                            ).reshape(2 * levels, m)
-
-                _sweep(base, cores[0], state, levels, empty, is_setup,
-                       candidates)
+                _sweep(base, cores, state, D, empty, is_setup)
 
         with _obs.span("deviation_costs"):
             mf = len(structure.fanin_dst)

@@ -76,9 +76,9 @@ class FastDeviation:
     The search walks the columns one element at a time, where list
     indexing beats numpy scalar access.  ``ptr``/``src``/``delay`` are
     Python lists shared by every pass over the graph; ``cost0`` is a
-    list for the ungrouped passes and a ``memoryview`` of the batched
-    sweep's cost row for a level, which indexes to the same Python
-    floats without an ``O(m)`` conversion per level.
+    ``memoryview`` of the pass's cost column (a list in an incremental
+    session's maintained state), which indexes to the same Python
+    floats without an ``O(m)`` conversion per pass.
     """
 
     __slots__ = ("ptr", "src", "delay", "cost0")
@@ -108,7 +108,7 @@ def _fast_deviation(core: CoreArrays, time0: np.ndarray,
     # a single `== inf` test skips them.
     cost0[~np.isfinite(cost0)] = _INF
     return FastDeviation(core.fanin_ptr_list, core.fanin_src_list,
-                         delay_list, cost0.tolist())
+                         delay_list, memoryview(cost0))
 
 
 def _seed_columns(seeds: Iterable) -> tuple[np.ndarray, np.ndarray,

@@ -352,12 +352,9 @@ class CpprEngine:
             workers = f"{requested}->{self.resolved_workers}"
         else:
             workers = str(self.resolved_workers)
-        from repro.core import shm as _shm
-        shm_on = self.backend == "array" and _shm.available()
         meta = {"executor": self.options.executor,
                 "workers": workers,
-                "backend": self.backend,
-                "shm": "on" if shm_on else "off"}
+                "backend": self.backend}
         if self._corner_analyzers:
             names = list(self._corner_analyzers)
             meta["corners"] = f"{len(names)}: {', '.join(names)}"
@@ -500,6 +497,11 @@ class CpprEngine:
                         built = propagate_dual_batched_corners(
                             [analyzer.graph for _n, analyzer in items],
                             mode)
+                        # Every level's capture seeds in one pass here,
+                        # so forked workers inherit them instead of
+                        # each recomputing them.
+                        for (_name, analyzer), batch in zip(items, built):
+                            batch.capture_seeds(0, analyzer)
                         batches = {name: batch for (name, _a), batch
                                    in zip(items, built)}
                     except ReproError:
@@ -517,12 +519,10 @@ class CpprEngine:
                                          "source": self.backend,
                                          "target": backend,
                                          "error": repr(exc)})
-            # Every task crosses to its executor as a shard descriptor.
-            # On the array backend with shared memory up, each corner's
-            # value/batch columns are published once and workers attach
-            # the segments; otherwise workers read what they inherited
-            # at fork.  All C designs publish before the single fan-out
-            # so the persistent pool forks at most once.  The same
+            # Every task crosses to its executor as a shard descriptor;
+            # process workers read the design, core and batch they
+            # inherited at fork.  All C designs register before the
+            # single fan-out so the pool forks at most once.  The same
             # descriptor path runs under every executor so spans and
             # counters stay executor-independent.
             from repro.cppr import shard as _shard
@@ -531,21 +531,10 @@ class CpprEngine:
                           for task in self._tasks()]
             shard_ctxs: dict[str | None, _shard.ShardContext] = {}
             try:
-                with _obs.span("stage", "shm_publish"):
-                    for name, analyzer in items:
-                        ctx = shard_ctxs[name] = _shard.open_query(
-                            analyzer, batches[name],
-                            publish_batch=(self.options.executor
-                                           == "process"))
-                        if ctx.error is None:
-                            continue
-                        if strict:
-                            raise ExecutionError(
-                                "shared-memory publish failed in strict "
-                                "mode") from ctx.error
-                        degraded.append({"event": "degrade.shm",
-                                         "task": "publish",
-                                         "error": repr(ctx.error)})
+                for name, analyzer in items:
+                    shard_ctxs[name] = _shard.open_query(
+                        analyzer, batches[name],
+                        publish_batch=self.options.executor == "process")
                 args = [(shard_ctxs[name].descriptor(
                             task, k, mode, self.options.heap_capacity,
                             backend, strict,

@@ -11,10 +11,10 @@ CPU work, so true speedup requires processes.  Three strategies:
   dominated by allocator/IO time.
 * ``"process"`` — the persistent ``fork`` process pool of
   :mod:`repro.cppr.shard`.  Each task's argument tuple is pickled, so
-  callers pass small descriptors or design tokens; the analyzer itself
-  reaches workers through fork-time memory inheritance (and the array
-  columns through shared memory when it is up), mirroring the paper's
-  shared-memory threading as closely as Python allows.
+  callers pass small descriptors or design tokens; the analyzer, its
+  array core and the query's batched propagation reach workers through
+  fork-time memory inheritance, mirroring the paper's shared-memory
+  threading as closely as Python allows.
 
 The Figure 6 thread-scaling experiment uses the process executor.
 
@@ -286,8 +286,8 @@ def _run_pool_rung(rung, fn, args_list, pending, results, payloads, done,
     The process rung submits per-task argument tuples to the persistent
     :mod:`repro.cppr.shard` pool, holding ``shard.POOL_LOCK`` until its
     last result.  A broken pool is retired through
-    :func:`repro.cppr.shard.handle_broken_pool`, which also sweeps the
-    ephemeral batch segments.
+    :func:`repro.cppr.shard.shutdown_pool`; the next process rung forks
+    a fresh one.
     """
     from repro.cppr import shard
 
@@ -301,7 +301,7 @@ def _run_pool_rung(rung, fn, args_list, pending, results, payloads, done,
         except BrokenProcessPool as exc:
             _record(events, col, "faults.pool_broken", rung=rung,
                     error=repr(exc))
-            shard.handle_broken_pool()
+            shard.shutdown_pool()
             return exc
         if _IN_FORK_WORKER:
             raise AnalysisError(
@@ -321,7 +321,7 @@ def _run_pool_rung(rung, fn, args_list, pending, results, payloads, done,
             except Exception as exc:
                 _record(events, col, "faults.pool_broken", rung=rung,
                         error=repr(exc))
-                shard.handle_broken_pool()
+                shard.shutdown_pool()
                 return exc
             plan_state = faults.export_plan_state()
 
@@ -340,14 +340,14 @@ def _run_pool_rung(rung, fn, args_list, pending, results, payloads, done,
             except BrokenProcessPool as exc:
                 _record(events, col, "faults.pool_broken", rung=rung,
                         error=repr(exc))
-                shard.handle_broken_pool()
+                shard.shutdown_pool()
                 return exc
             failed, broken, exc = _collect_wave(
                 rung, futures, to_run, results, payloads, done,
                 task_timeout, events, col)
             last_exc = exc or last_exc
             if broken:
-                shard.handle_broken_pool()
+                shard.shutdown_pool()
                 break
             if not failed:
                 break

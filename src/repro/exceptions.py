@@ -55,36 +55,18 @@ class DeadlineExpired(AnalysisError):
     """
 
 
-class ShmError(ReproError):
-    """A shared-memory plane operation failed.
+class StaleStateError(ReproError):
+    """A process cannot serve a task from the state it holds.
 
-    Base class for the :mod:`repro.core.shm` failure modes.  Both
-    subclasses are *recoverable* by design: the resilient scheduler
-    treats them as ordinary task failures, so a query whose workers
-    cannot attach (or see a stale segment) degrades down the
-    ``process -> thread -> serial`` ladder and still returns the exact
-    report from the parent's live objects.
-    """
-
-
-class ShmAttachError(ShmError):
-    """A worker could not attach a published shared-memory segment.
-
-    Raised when the named segment no longer exists (unlinked by the
-    owner, or the descriptor outlived its query), when the platform
-    refuses the mapping, or by the injected ``shm.attach`` chaos site.
-    """
-
-
-class ShmStaleError(ShmError):
-    """A segment's version slot disagrees with the descriptor.
-
-    The publisher stamps every segment with a version counter
-    (:attr:`repro.core.arrays.CoreValues.version` for value columns) and
-    in-place updates bump the slot; a reader holding a descriptor minted
-    before the update must *detect* the mismatch — this error — rather
-    than serve values the descriptor's query never saw.  Also raised by
-    the injected ``shm.stale`` chaos site.
+    Raised when a process resolves a
+    :class:`~repro.cppr.shard.FamilyDescriptor` whose design or batch it
+    lacks, or whose core values version differs from the core it holds:
+    a pool worker forked before the design was published, or a core
+    edited in place after the descriptor was minted.  Stale state is
+    detected, never served.  The error is *recoverable* by design: the
+    resilient scheduler treats it as an ordinary task failure, so the
+    task walks the ``process -> thread -> serial`` ladder and the
+    parent's live objects still return the exact report.
     """
 
 

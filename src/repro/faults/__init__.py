@@ -31,7 +31,7 @@ from repro.faults.injection import (ENV_VAR, SITES, FaultPlan, FaultSpec,
                                     check, export_plan_state, inject,
                                     install_plan_state, mark_worker_process,
                                     plan_from_env, plan_from_specs,
-                                    site_armed, triggered)
+                                    triggered)
 
 __all__ = [
     "ENV_VAR",
@@ -48,6 +48,5 @@ __all__ = [
     "mark_worker_process",
     "plan_from_env",
     "plan_from_specs",
-    "site_armed",
     "triggered",
 ]

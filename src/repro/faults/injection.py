@@ -32,22 +32,6 @@ The firing *action* is site-specific and models the real failure:
                           mismatch and recompute rather than serve the
                           stale artifact (counter
                           ``pipeline.stale.detected``).
-``shm.attach``            raises :class:`~repro.exceptions
-                          .ShmAttachError` when a worker attaches a
-                          shared-memory segment, as if the named
-                          segment vanished.  Arming it with
-                          ``times=inf`` is special-cased by
-                          :func:`repro.core.shm.available`: an attach
-                          that fails *forever* is indistinguishable
-                          from a platform without
-                          ``multiprocessing.shared_memory``, so the
-                          memory plane disables itself up front and
-                          process workers read what they inherited at
-                          fork.
-``shm.stale``             raises :class:`~repro.exceptions
-                          .ShmStaleError` at segment version
-                          validation, as if a reader held a descriptor
-                          minted before an in-place update.
 ``server.request_timeout``  a hung request handler: sleeps ``seconds``
                           (default 60) inside the server's query worker
                           so the request's deadline expires and the
@@ -69,9 +53,10 @@ The firing *action* is site-specific and models the real failure:
                           a partially-built design.
 ========================  ==============================================
 
-The persistent worker pool (:mod:`repro.cppr.shard`) outlives
-``inject()`` windows, so fork-time plan inheritance is not enough for
-it: the scheduler ships :func:`export_plan_state` with each task and
+The shared worker pool (:mod:`repro.cppr.shard`) can outlive
+``inject()`` windows — it persists across queries that register no
+batch, such as the scalar backend's — so fork-time plan inheritance is
+not enough for it: the scheduler ships :func:`export_plan_state` with each task and
 workers apply it via :func:`install_plan_state`, which installs each
 armed plan *once per arming generation* — the per-worker-process
 trigger semantics of a plan inherited at fork.
@@ -92,14 +77,13 @@ from repro.obs import metrics as _metrics
 __all__ = ["SITES", "FaultPlan", "FaultSpec", "InjectedFault",
            "active_plan", "armed", "check", "export_plan_state",
            "inject", "install_plan_state", "mark_worker_process",
-           "plan_from_env", "plan_from_specs", "site_armed", "triggered"]
+           "plan_from_env", "plan_from_specs", "triggered"]
 
 #: Every named injection site production code consults.
 SITES = ("task.crash", "task.timeout", "task.exception", "numpy.import",
          "pool.broken", "memory.pressure", "pipeline.stale_artifact",
-         "shm.attach", "shm.stale", "server.request_timeout",
-         "server.session_crash", "server.queue_overflow",
-         "io.parse_error")
+         "server.request_timeout", "server.session_crash",
+         "server.queue_overflow", "io.parse_error")
 
 #: Environment variable holding the ambient fault plan (see
 #: :func:`plan_from_env` for the format).
@@ -303,12 +287,6 @@ def active_plan() -> FaultPlan | None:
     return _ACTIVE
 
 
-def site_armed(site: str) -> FaultSpec | None:
-    """The armed spec for ``site``, or ``None`` when it cannot fire."""
-    plan = _ACTIVE
-    return None if plan is None else plan.spec(site)
-
-
 def export_plan_state() -> tuple:
     """A picklable snapshot of the armed plan for pool workers.
 
@@ -451,12 +429,6 @@ def _fire(site: str, spec: FaultSpec) -> None:
         from concurrent.futures.process import BrokenProcessPool
         raise BrokenProcessPool(
             f"injected fault at site {site!r}")
-    if site == "shm.attach":
-        from repro.exceptions import ShmAttachError
-        raise ShmAttachError(f"injected fault at site {site!r}")
-    if site == "shm.stale":
-        from repro.exceptions import ShmStaleError
-        raise ShmStaleError(f"injected fault at site {site!r}")
     if site == "io.parse_error":
         from repro.exceptions import FormatError
         raise FormatError(f"injected fault at site {site!r}")

@@ -83,7 +83,7 @@ class Profile:
     #: exported trace (``None`` for hand-built or legacy profiles).
     trace_id: str | None = None
     #: Free-form header metadata (executor, resolved worker count,
-    #: backend, shared-memory plane state...) stamped by the producer;
+    #: backend, corners...) stamped by the producer;
     #: rendered as header lines by ``format_profile``.  Values are
     #: short strings — never measurements, which belong in counters.
     meta: dict[str, str] = field(default_factory=dict)

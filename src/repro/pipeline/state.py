@@ -157,8 +157,13 @@ def _single_state(graph: TimingGraph, mode: AnalysisMode, substrate: str,
                   seed_map: dict[int, tuple[float, int]]) -> SingleState:
     seeds = [Seed(pin, t, frm) for pin, (t, frm) in seed_map.items()]
     arrays = propagate_single(graph, mode, seeds, substrate)
-    cost0 = arrays.fast.cost0 if arrays.fast is not None else None
-    return SingleState(arrays.time, arrays.from_pin, cost0, seed_map)
+    if arrays.fast is None:
+        return SingleState(arrays.time, arrays.from_pin, None, seed_map)
+    # The array producer serves its cost column as a memoryview; the
+    # session patches costs in place, so it owns them as a list like the
+    # level rows.
+    return SingleState(arrays.time, arrays.from_pin,
+                       arrays.fast.cost0.tolist(), seed_map)
 
 
 def build_mode_state(graph: TimingGraph, mode: AnalysisMode,

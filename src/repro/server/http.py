@@ -15,9 +15,8 @@ requests without stalling the loop.  Supported surface:
 
 :func:`run_server` is the CLI entry point: it serves until SIGTERM /
 SIGINT, then **drains** — stops admitting, finishes in-flight requests
-within the grace period, flushes the observability plane (Chrome trace
-/ span log), and sweeps shared-memory segments — before the process
-exits.  :class:`BackgroundServer` runs the same stack on an ephemeral
+within the grace period, and flushes the observability plane (Chrome
+trace / span log) — before the process exits.  :class:`BackgroundServer` runs the same stack on an ephemeral
 port inside a daemon thread for tests and benchmarks.
 """
 

@@ -233,7 +233,7 @@ class TimingService:
         self._draining = True
 
     def drain(self, grace: float | None = None) -> dict:
-        """Finish in-flight work, flush obs state, sweep shm segments.
+        """Finish in-flight work and flush obs state.
 
         Returns a summary of what was flushed.  Safe to call more than
         once; the drain gate stays closed afterwards.
@@ -259,8 +259,6 @@ class TimingService:
                 summary["span_log"] = self.options.span_log
             _obs.ACTIVE = self._previous_collector
             self._collector = None
-        from repro.core import shm
-        shm.REGISTRY.sweep()
         self._drained.set()
         return summary
 

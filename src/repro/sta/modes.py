@@ -20,18 +20,14 @@ class AnalysisMode(enum.Enum):
     SETUP = "setup"
     HOLD = "hold"
 
-    @property
-    def is_setup(self) -> bool:
-        return self is AnalysisMode.SETUP
-
-    @property
-    def empty_time(self) -> float:
-        """Identity element for this mode's arrival merge.
-
-        Setup propagates the *latest* arrival, so an absent arrival is
-        ``-inf``; hold propagates the earliest, so absent is ``+inf``.
-        """
-        return float("-inf") if self.is_setup else float("inf")
+    def __init__(self, value: str) -> None:
+        # Plain attributes, set once per member: the propagation and
+        # search loops read them tens of thousands of times per query.
+        self.is_setup = value == "setup"
+        #: Identity element for this mode's arrival merge.  Setup
+        #: propagates the *latest* arrival, so an absent arrival is
+        #: ``-inf``; hold propagates the earliest, so absent is ``+inf``.
+        self.empty_time = float("-inf") if self.is_setup else float("inf")
 
     def prefer(self, candidate: float, incumbent: float) -> bool:
         """True when ``candidate`` is more pessimistic than ``incumbent``.

@@ -8,13 +8,13 @@ Three layers, each pinned bit-for-bit (no tolerance):
   so even NaN/inf cells must agree cell-for-cell).
 * **Engine**: a corners-configured ``CpprEngine`` equals ``C``
   independent single-corner engines across backend x executor,
-  including the descriptor-sharded process rung (one pool, ``C``
-  values segments).
+  including the descriptor-sharded process rung (one pool forked after
+  the fused sweep, ``C`` batch keys).
 * **Session**: a ``MultiCornerSession`` (one edit -> one shared dirty
   cone -> all corners revalidated) tracks ``C`` independent
   single-corner sessions across an edit sequence — and stays exact
-  under the ``shm.attach`` and ``pipeline.stale_artifact`` chaos sites
-  with ``C > 1``.
+  under the ``task.exception`` and ``pipeline.stale_artifact`` chaos
+  sites with ``C > 1``.
 """
 
 from __future__ import annotations
@@ -246,16 +246,14 @@ class TestChaosUnderCorners:
                        for s in session.sessions.values())
         assert detected == 1
 
-    def test_shm_attach_storm_degrades_with_exact_per_corner_reports(
+    def test_task_exception_storm_degrades_with_exact_per_corner_reports(
             self):
-        """Every worker attach failing under C=3 walks the ladder and
-        still produces per-corner answers equal to clean runs."""
+        """A storm failing every process- and thread-rung attempt under
+        C=3 walks the whole ladder and still produces per-corner
+        answers equal to clean runs."""
         pytest.importorskip("numpy", exc_type=ImportError)
-        from repro.core import shm
         from repro.cppr.parallel import available_executors
 
-        if not shm.available():
-            pytest.skip("shared memory unavailable")
         if "process" not in available_executors():
             pytest.skip("no fork support")
         from repro import DegradedResultWarning
@@ -271,10 +269,18 @@ class TestChaosUnderCorners:
 
         engine = CpprEngine(analyzer, CpprOptions(
             backend="array", executor="process", workers=2,
-            max_retries=1, corners=corners))
+            max_retries=1, retry_backoff=0.0, corners=corners))
+        # C * (D + 2) tasks, each tried twice per rung.  Every worker
+        # and the parent start from the same firing budget: it covers
+        # all process-rung attempts and is spent exactly by the thread
+        # rung's, so only the serial rung runs clean.
+        tasks = len(corners.names) * (analyzer.clock_tree.num_levels + 2)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", DegradedResultWarning)
-            with inject("shm.attach:times=200"):
+            with inject(f"task.exception:times={2 * tasks}"):
                 got = engine.top_paths_by_corner(5, "setup")
+        assert [e["target"] for e in engine.last_degraded
+                if e["event"] == "degrade.executor"] == ["thread",
+                                                         "serial"]
         for name in corners.names:
             assert fingerprint(got[name]) == want[name], name

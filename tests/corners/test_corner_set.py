@@ -205,13 +205,10 @@ class TestEngineCornerAxis:
 
     def test_descriptor_carries_corner_label(self):
         pytest.importorskip("numpy", exc_type=ImportError)
-        from repro.core import shm
         from repro.core.batched import propagate_dual_batched
         from repro.cppr import shard
         from repro.sta.modes import AnalysisMode
 
-        if not shm.available():
-            pytest.skip("shared memory unavailable")
         graph, constraints = random_small(26)
         analyzer = TimingAnalyzer(graph, constraints)
         engine = CpprEngine(analyzer, CpprOptions(backend="array"))

@@ -135,11 +135,10 @@ class TestSharedPoolPolicy:
         assert array.last_degraded == ()
 
     def test_queries_without_shared_memory_retire_the_pool_in_turn(self):
-        # Without shared memory every array query re-forks the pool and
-        # retires it on close; queries from two threads must take turns.
+        # Every array process query re-forks the pool and retires it on
+        # close; queries from two threads must take turns.
         pytest.importorskip("numpy", exc_type=ImportError)
         from repro.cppr import shard
-        from repro.faults import inject
         seeds = (16, 17)
         want = {seed: _scalar_reference(seed) for seed in seeds}
         outcomes: list = []
@@ -161,13 +160,12 @@ class TestSharedPoolPolicy:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
-            with inject("shm.attach:times=inf"):
-                threads = [threading.Thread(target=run, args=(seed,))
-                           for seed in seeds]
-                for t in threads:
-                    t.start()
-                for t in threads:
-                    t.join(timeout=120)
+            threads = [threading.Thread(target=run, args=(seed,))
+                       for seed in seeds]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
         finally:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)

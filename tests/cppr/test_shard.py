@@ -1,38 +1,34 @@
-"""Descriptor-only process sharding over the shared-memory plane.
+"""Descriptor-only process sharding over fork inheritance.
 
-The shard module is the glue between the engine and
-``repro.core.shm``: it publishes a query's value/batch columns once,
-hands every task a picklable :class:`FamilyDescriptor`, and resolves
-descriptors back to live cores inside workers.  These tests pin the
-resolution contract in-process (owner path) and the engine-level
-equivalence through the persistent fork pool; the failure modes ride
-``tests/faults/test_shm_chaos.py``.
+The shard module is the glue between the engine and the fork pool: it
+registers a query's design and batch, hands every task a picklable
+:class:`FamilyDescriptor`, and resolves descriptors back to live
+objects in whichever process runs the task.  These tests pin the
+resolution contract in-process and the engine-level equivalence
+through the fork pool, including a worker whose inherited core went
+stale.
 """
 
 from __future__ import annotations
 
 import pickle
+import warnings
 
 import pytest
 
-np = pytest.importorskip("numpy")
+pytest.importorskip("numpy", exc_type=ImportError)
 
 from tests.helpers import random_small  # noqa: E402
 
 from repro import (CpprEngine, CpprOptions,  # noqa: E402
                    DegradedResultWarning, TimingAnalyzer)
-from repro.core import shm  # noqa: E402
-from repro.core.arrays import CoreArrays  # noqa: E402
+from repro.core.arrays import get_core  # noqa: E402
 from repro.core.batched import propagate_dual_batched  # noqa: E402
 from repro.cppr import shard  # noqa: E402
 from repro.cppr.engine import _run_family_resilient  # noqa: E402
 from repro.cppr.parallel import available_executors  # noqa: E402
-from repro.exceptions import ExecutionError, ShmStaleError  # noqa: E402
+from repro.exceptions import StaleStateError  # noqa: E402
 from repro.sta.modes import AnalysisMode  # noqa: E402
-
-pytestmark = pytest.mark.skipif(
-    not shm.available(),
-    reason="shared memory unavailable (platform or ambient fault plan)")
 
 
 def _analyzer(seed: int = 21) -> TimingAnalyzer:
@@ -76,9 +72,8 @@ class TestDescriptors:
             desc = ctx.descriptor(("level", 0), 4, mode, None, "array",
                                   False)
             clone = pickle.loads(pickle.dumps(desc))
-            assert clone.values_layout == desc.values_layout
-            assert clone.batch_layout == desc.batch_layout
-            assert clone.task == ("level", 0)
+            assert clone == desc
+            assert len(pickle.dumps(desc)) < 1024
         finally:
             ctx.close()
 
@@ -90,54 +85,24 @@ class TestDescriptors:
         try:
             desc = ctx.descriptor(("self_loop",), 4, mode, None,
                                   "array", False)
-            from repro.core.arrays import get_core
             core = get_core(analyzer.graph)
-            core.values.version += 1  # an ECO edit after publication
-            with pytest.raises(ShmStaleError):
+            core.values.version += 1  # an ECO edit after the query opened
+            with pytest.raises(StaleStateError):
                 shard.run_family_descriptor(desc)
         finally:
             ctx.close()
 
-    def test_close_releases_the_batch_segment(self):
+    def test_unregistered_batch_is_detected(self):
         analyzer = _analyzer(24)
         mode = AnalysisMode.SETUP
         CpprEngine(analyzer).top_paths(1, mode)
         batch = propagate_dual_batched(analyzer.graph, mode)
-        ctx = shard.open_query(analyzer, batch, publish_batch=True)
-        assert ctx.batch_layout is not None
-        assert ctx.batch_layout.segment in shm.REGISTRY.segments()
+        ctx = shard.open_query(analyzer, batch, publish_batch=False)
+        desc = ctx.descriptor(("level", 0), 4, mode, None, "array", False)
         ctx.close()
-        assert ctx.batch_layout.segment not in shm.REGISTRY.segments()
-
-
-def _refuse_publish(self, kind="values"):
-    raise OSError("no space left on the shared-memory filesystem")
-
-
-@pytest.mark.skipif("process" not in available_executors(),
-                    reason="no fork support")
-class TestPublishFailure:
-    """A failed publish falls back to state the workers inherit."""
-
-    def _engine(self, seed: int, **options) -> CpprEngine:
-        return CpprEngine(_analyzer(seed), CpprOptions(
-            executor="process", workers=2, backend="array", **options))
-
-    def test_failed_publish_degrades_with_exact_report(self, monkeypatch):
-        want = _fingerprint(CpprEngine(_analyzer(41), CpprOptions(
-            backend="scalar")).top_paths(8, "setup"))
-        monkeypatch.setattr(CoreArrays, "share_values", _refuse_publish)
-        engine = self._engine(41)
-        with pytest.warns(DegradedResultWarning):
-            got = _fingerprint(engine.top_paths(8, "setup"))
-        assert got == want
-        assert [e["event"] for e in engine.last_degraded] == ["degrade.shm"]
-
-    def test_failed_publish_raises_in_strict_mode(self, monkeypatch):
-        monkeypatch.setattr(CoreArrays, "share_values", _refuse_publish)
-        engine = self._engine(42, strict=True)
-        with pytest.raises(ExecutionError, match="publish failed"):
-            engine.top_paths(8, "setup")
+        assert desc.batch_key not in shard._QUERY_BATCHES
+        with pytest.raises(StaleStateError):
+            shard.run_family_descriptor(desc)
 
 
 class TestDesignRegistry:
@@ -179,14 +144,6 @@ class TestPersistentPool:
         finally:
             shard.shutdown_pool()
 
-    def test_broken_pool_recovery_sweeps_batch_segments(self):
-        shard.shutdown_pool()
-        layout, _views = shm.REGISTRY.publish(
-            "batch", {"a": np.zeros(4)})
-        shard.ensure_pool(1)
-        shard.handle_broken_pool()
-        assert layout.segment not in shm.REGISTRY.segments()
-
     def test_process_query_matches_serial_and_cleans_batches(self):
         analyzer = _analyzer(29)
         serial = CpprEngine(analyzer).top_paths(6, "setup")
@@ -195,4 +152,33 @@ class TestPersistentPool:
                             CpprOptions(executor="process", workers=2))
         pooled = engine.top_paths(6, "setup")
         assert _fingerprint(pooled) == _fingerprint(serial)
-        assert shm.REGISTRY.tracked_bytes("batch") == 0
+        assert engine.last_degraded == ()
+        # Closing the query dropped its batch and retired the pool
+        # forked to inherit it.
+        assert not shard._QUERY_BATCHES
+        assert shard._POOL is None
+
+    def test_stale_worker_core_fails_over_to_the_parent(self):
+        """A persistent pool's workers hold the core they inherited; a
+        later in-place edit in the parent makes them stale.  Their tasks
+        must fail and re-run on the parent's live core, never serve the
+        old version."""
+        analyzer = _analyzer(30)
+        get_core(analyzer.graph)
+        engine = CpprEngine(analyzer, CpprOptions(
+            executor="process", workers=2, backend="scalar"))
+        want = _fingerprint(engine.top_paths(6, "setup"))
+        assert engine.last_degraded == ()
+        pool = shard._POOL
+        get_core(analyzer.graph).values.version += 1
+        engine.clear_cache()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DegradedResultWarning)
+            got = _fingerprint(engine.top_paths(6, "setup"))
+        assert got == want
+        assert shard._POOL is pool
+        errors = [e["error"] for e in engine.last_degraded
+                  if e["event"] == "faults.task_error"]
+        assert errors and all("StaleStateError" in e for e in errors)
+        assert "degrade.executor" in {e["event"]
+                                      for e in engine.last_degraded}

@@ -117,8 +117,8 @@ def no_ambient_plan(monkeypatch):
     """Disarm any ``REPRO_FAULTS`` ambient plan for one test.
 
     The disarmed-state assertions below describe the framework's
-    resting state; under an env-armed CI job (the chaos and no-shm
-    workflows) that resting state is a live plan, so these tests
+    resting state; under an env-armed CI job (the chaos workflow)
+    that resting state is a live plan, so these tests
     neutralize it instead of failing on it.
     """
     from repro.faults import injection

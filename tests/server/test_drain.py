@@ -1,6 +1,6 @@
 """Graceful shutdown: the drain sequence finishes in-flight work,
-refuses new work with structured 503s, flushes the observability plane
-(Chrome trace with serving-context meta), and sweeps shm segments."""
+refuses new work with structured 503s, and flushes the observability
+plane (Chrome trace with serving-context meta)."""
 
 from __future__ import annotations
 
@@ -68,18 +68,3 @@ class TestDrain:
         events = (document["traceEvents"]
                   if isinstance(document, dict) else document)
         assert events, "trace export is empty"
-
-    def test_drain_sweeps_shm_segments(self):
-        import pytest
-
-        from repro.core import shm
-
-        np = pytest.importorskip("numpy")
-        if not shm.available():
-            pytest.skip("shared memory unavailable")
-        service = make_service()
-        add_demo(service)
-        shm.REGISTRY.publish("values", {"a": np.zeros(8)})
-        assert shm.REGISTRY.segments()
-        service.drain()
-        assert shm.REGISTRY.segments() == ()
