@@ -8,16 +8,18 @@ instead of per-pin Python objects.  This package provides it:
   arrays and per-source-level edge buckets, built once from a
   :class:`~repro.circuit.graph.TimingGraph` and cached on it
   (:func:`~repro.core.arrays.get_core`).
-* :mod:`repro.core.propagate` — the ``backend="array"`` single-tuple
-  arrival propagation (level-wise scatter relaxation that also recovers
-  argmin ``from``-pointers) and the precomputed deviation-cost columns.
+* :mod:`repro.core.propagate` — the ``backend="array"`` standalone
+  single-tuple arrival propagation (level-wise scatter relaxation that
+  also recovers argmin ``from``-pointers) and the precomputed
+  deviation-cost columns.
 * :mod:`repro.core.grouping` — vectorized ``f_{d+1}``/credit lookups
   for the per-level node grouping, including the one-shot ``(D, n_ff)``
   grouping matrix.
-* :mod:`repro.core.batched` — the array backend's grouped propagation:
-  all ``D`` per-level forward passes as one sweep over ``(2D, n_pins)``
-  dual-tuple state, carrying group ids so the Table II dual-tuple
-  semantics survive vectorization.
+* :mod:`repro.core.batched` — the array backend's propagation: all
+  ``D`` per-level forward passes plus the self-loop and primary-input
+  passes as one sweep over ``(2(D + 2), n_pins)`` dual-tuple state,
+  carrying group ids so the Table II dual-tuple semantics survive
+  vectorization.
 
 ``numpy`` is an *optional* dependency (the ``fast`` extra).  This module
 is importable without it; only the gate helpers live here so that

@@ -1,18 +1,19 @@
-"""Level-batched grouped propagation: one ``(D, n)`` sweep for all levels.
+"""Batched propagation: one ``(D + 2, n)`` sweep for every family.
 
-The engine's per-level candidate passes (``paths_at_level`` for
-``d = 0 .. D-1``) differ only in their *inputs*: the grouping column and
-the per-FF launch offset.  The graph topology, the topological edge
-schedule, the edge delays, and the deviation-cost formula are identical
-across levels.  This module exploits that: instead of ``D`` independent
-forward sweeps it relaxes each topological level bucket for **all**
-``D`` cut-levels simultaneously.  The dual-tuple state is *stacked* —
-one ``(2D, n_pins)`` matrix per component, best-tuple rows ``0..D-1``
-and different-group-fallback rows ``D..2D-1``, with the public
-``time0``/``time1`` etc. exposed as row-range views — so each gather,
-candidate computation, and segment reduction is ONE numpy call for
-both halves of all levels.  That matters because at realistic ``D``
-the sweep is dispatch-bound, not bandwidth-bound.
+The engine's ``D + 2`` candidate passes differ only in their *inputs*:
+the level passes (``paths_at_level``, ``d = 0 .. D-1``) in the
+grouping column and the per-FF launch offset, the self-loop (row
+``D``) and primary-input (row ``D + 1``) passes in their one-group
+launch seeds.  A grouped pass whose seeds all share one group *is* the
+single-tuple pass (``docs/PROOFS.md`` L7).  Topology, edge schedule,
+delays and the deviation-cost formula are shared, so instead of
+``D + 2`` forward sweeps this module relaxes each topological level
+bucket for all rows at once.  The dual-tuple state is *stacked* — one
+``(2(D + 2), n_pins)`` matrix per component, best-tuple rows first and
+different-group-fallback rows after them, exposed as row-range views —
+so each gather, candidate computation, and segment reduction is ONE
+numpy call for both halves of all rows.  That matters because at
+realistic ``D`` the sweep is dispatch-bound, not bandwidth-bound.
 
 Segment reductions avoid per-segment ``reduceat`` dispatch where
 geometry allows: ragged destination segments are duplicate-padded to a
@@ -46,12 +47,15 @@ sweep keeps the per-element work small:
 
 Bit-for-bit equivalence with the scalar reference
 (:func:`repro.cppr.propagation.propagate_dual`, one standalone pass per
-level ``d``) holds because every row of the batched state computes
-exactly what that pass computes:
+level ``d``, and :func:`~repro.cppr.propagation.propagate_single` for
+rows ``D`` and ``D + 1``) holds because every row of the batched state
+computes exactly what that pass computes:
 
 * seeds — ``(clock arrival + clk-to-q) ∓ launch offset`` with the same
-  association, assigned directly (Q pins are distinct per flip-flop, so
-  no seed merge is needed);
+  association, where row ``D``'s offset is ``credit(launch FF)``, and
+  each primary input's own arrival in row ``D + 1``; assigned directly
+  (Q pins are distinct per flip-flop and primary-input pins per port,
+  so no seed merge is needed);
 * relaxation — level order is topological order and the tuple state is
   order-independent (see :mod:`repro.core.propagate`), so relaxing a
   whole :class:`~repro.core.arrays.LevelBucket` at once lands where the
@@ -65,16 +69,16 @@ exactly what that pass computes:
   batches provably leave the row's state untouched;
 * deviation costs — the three-operation column formula of
   :class:`~repro.core.propagate.FastDeviation`, evaluated once as a
-  ``(D, m)`` matrix.
+  ``(D + 2, m)`` matrix.
 
-The result object serves each level's slice back as the ordinary
-:class:`~repro.cppr.propagation.DualArrivalArrays` /
-:class:`~repro.core.propagate.FastDeviation` pair, so the deviation
-search and everything downstream are reused unchanged.  The columns
-are zero-copy ``memoryview`` rows of the sweep matrices, not lists:
-a family's search reads only the pins it walks, far fewer than ``n``.
+The result object serves each row back as the ordinary arrival arrays
+(dual for a level, single for rows ``D`` and ``D + 1``) with their
+:class:`~repro.core.propagate.FastDeviation`, so the deviation search
+and everything downstream are reused unchanged.  The columns are
+zero-copy ``memoryview`` rows of the sweep matrices, not lists: a
+family's search reads only the pins it walks, far fewer than ``n``.
 The capture seeds come from the same columns: the first family to ask
-computes every level's seed slacks in one numpy pass
+computes every row's seed slacks in one numpy pass
 (:meth:`BatchedLevels.capture_seeds`), with the per-FF loop's float
 operations in its order, so each family only builds its seed list.
 The seed columns live on the batch, which lives for one query.
@@ -82,18 +86,19 @@ The seed columns live on the batch, which lives for one query.
 The same stacking generalizes along a second axis:
 :func:`propagate_dual_batched_corners` fuses ``C`` delay corners that
 share one :class:`~repro.core.arrays.CoreStructure` into a single
-``(C * 2D, n)`` sweep — corner ``c``'s rows are exactly the ``(2D, n)``
-state its standalone sweep would hold, per-bucket delays broadcast from
-a ``(C, m)`` stack, and the result is served back as ``C`` ordinary
-:class:`BatchedLevels` slices.  See ``docs/MCMM.md``.
+``(C * 2(D + 2), n)`` sweep — corner ``c``'s rows are exactly the
+state its standalone sweep would hold, per-bucket delays broadcast
+from a ``(C, m)`` stack, and the result is served back as ``C``
+ordinary :class:`BatchedLevels` slices.  See ``docs/MCMM.md``.
 
 Observability: building emits one ``propagate.batched`` span with
 ``grouping`` / ``seeds`` / ``sweep`` / ``deviation_costs`` children,
 the same ``propagation.seeds`` / ``propagation.pins_visited`` totals
-the ``D`` separate passes would have emitted (empty levels contribute
-zero to both, exactly like their skipped passes), and a per-level
-breakdown under ``batched.seeds.level[d]`` /
-``batched.pins_visited.level[d]``.
+the ``D + 2`` separate passes would have emitted (rows without seeds
+contribute zero to both, exactly like their skipped passes), and a
+per-row breakdown under ``batched.seeds.<row>`` /
+``batched.pins_visited.<row>`` for ``level[d]``, ``self_loop`` and
+``primary_input``.
 """
 
 from __future__ import annotations
@@ -103,7 +108,7 @@ import numpy as np
 from repro import faults
 from repro.circuit.graph import TimingGraph
 from repro.core.arrays import get_core
-from repro.core.grouping import group_matrix
+from repro.core.grouping import group_matrix, tree_lift
 from repro.core.propagate import FastDeviation, _beats, _lex_beats
 from repro.cppr.tuples import NO_GROUP, NO_NODE
 from repro.obs import collector as _obs
@@ -116,16 +121,16 @@ _INF = float("inf")
 
 
 class BatchedLevels:
-    """The batched sweep's result: per-level views over shared matrices.
+    """The batched sweep's result: per-row views over shared matrices.
 
-    ``time0 .. group1`` are the ``(D, n_pins)`` dual-tuple matrices,
-    ``cost0`` the ``(D, m_fanin)`` deviation-cost matrix and
-    ``group_matrix`` the ``(D, n_ff)`` grouping matrix the sweep was
-    seeded from; row ``d`` is exactly what a standalone scalar
-    level-``d`` pass would produce.  :meth:`arrays` serves one row as
-    the :class:`~repro.cppr.propagation.DualArrivalArrays` the
-    deviation search consumes, and :meth:`capture_seeds` the row's
-    capture seeds.
+    ``time0 .. group1`` are the ``(D + 2, n_pins)`` dual-tuple
+    matrices and ``cost0`` the ``(D + 2, m_fanin)`` deviation-cost
+    matrix; each row is exactly what its standalone scalar pass would
+    produce (level ``d < D``, self-loop ``D``, primary input ``D + 1``).
+    ``num_levels`` (``D``), ``groupings`` and the ``(D, n_ff)``
+    ``group_matrix`` cover the level rows only.  :meth:`arrays` serves
+    one row as the arrival arrays the deviation search consumes, and
+    :meth:`capture_seeds` the row's capture seeds.
     """
 
     __slots__ = ("mode", "num_levels", "groupings", "seed_counts",
@@ -158,39 +163,46 @@ class BatchedLevels:
         """The level's :class:`~repro.cppr.grouping.LevelGrouping`."""
         return self.groupings[level]
 
-    def num_seeds(self, level: int) -> int:
-        """Participating flip-flops (= launch seeds) at ``level``."""
-        return self.seed_counts[level]
+    def num_seeds(self, row: int) -> int:
+        """Launch seeds of ``row`` (participating flip-flops at a level,
+        all flip-flops in row ``D``, all primary inputs in ``D + 1``)."""
+        return self.seed_counts[row]
 
-    def arrays(self, level: int):
-        """Level ``level``'s slice as ordinary dual-arrival arrays.
+    def arrays(self, row: int):
+        """Row ``row`` as ordinary arrival arrays.
 
-        Every column is a read-only ``memoryview`` of its sweep-matrix
-        row: no copy, and indexing yields the same Python
-        ``float``/``int`` a list would hold.  The views alias the
-        matrices, so a write raises instead of corrupting the other
-        families' rows (sessions, which rewrite columns in place, keep
-        their own lists).
+        Dual arrays for a level; rows ``D`` and ``D + 1`` hold one
+        group, so their primary tuple is the whole answer and they are
+        served as single arrays.  Every column is a read-only
+        ``memoryview`` of its sweep-matrix row: no copy, and indexing
+        yields the same Python ``float``/``int`` a list would hold.  The
+        views alias the matrices, so a write raises instead of
+        corrupting the other families' rows (sessions, which rewrite
+        columns in place, keep their own lists).
         """
-        from repro.cppr.propagation import DualArrivalArrays
+        from repro.cppr.propagation import (DualArrivalArrays,
+                                            SingleArrivalArrays)
 
         def view(matrix):
-            return memoryview(matrix[level]).toreadonly()
+            return memoryview(matrix[row]).toreadonly()
 
         fast = FastDeviation(self.fanin_ptr, self.fanin_src,
                              self.fanin_delay, view(self.cost0))
+        if row >= self.num_levels:
+            return SingleArrivalArrays(self.mode, view(self.time0),
+                                       view(self.from0), fast=fast)
         return DualArrivalArrays(
             self.mode, view(self.time0), view(self.from0),
             view(self.group0), view(self.time1), view(self.from1),
             view(self.group1), fast=fast)
 
-    def capture_seeds(self, level: int, analyzer) -> list:
-        """Level ``level``'s capture seeds, one per reached flip-flop.
+    def capture_seeds(self, row: int, analyzer) -> list:
+        """Row ``row``'s capture seeds, one per reached flip-flop.
 
         The same :class:`~repro.cppr.deviation.CaptureSeed` list, in
         flip-flop order and with bit-equal slacks, that the per-FF loop
         :func:`repro.cppr.level_paths.level_capture_seeds` builds over
-        :meth:`arrays`.  The first call computes every level's seeds in
+        :meth:`arrays`.  The first call computes every row's seeds in
         one pass (:meth:`_capture_columns`) and keeps them on this
         batch; ``analyzer`` must be the one whose graph was swept.
         """
@@ -203,34 +215,40 @@ class BatchedLevels:
                 or captures[1] != period):
             captures = self._captures = (
                 graph, period, *self._capture_columns(graph, period))
-        _graph, _period, valid, slack, d_pin = captures
-        ffs = np.flatnonzero(valid[level])
-        return list(map(CaptureSeed, slack[level, ffs].tolist(),
-                        d_pin[ffs].tolist(),
-                        self.group_matrix[level, ffs].tolist(),
+        _graph, _period, valid, slack, group, d_pin = captures
+        ffs = np.flatnonzero(valid[row])
+        return list(map(CaptureSeed, slack[row, ffs].tolist(),
+                        d_pin[ffs].tolist(), group[row, ffs].tolist(),
                         ffs.tolist()))
 
     def _capture_columns(self, graph: TimingGraph, clock_period):
-        """Every level's capture seeds: ``(valid, slack, d_pin)``.
+        """Every row's capture seeds: ``(valid, slack, group, d_pin)``.
 
-        ``valid[d, f]`` says whether flip-flop ``f`` seeds level ``d``'s
-        search and ``slack[d, f]`` is its seed slack.  Entry by entry
-        this is the per-FF loop: a participating flip-flop queries
-        ``at_auto(D pin, capture group)`` — the primary tuple, or the
-        fallback tuple where the primary tuple's group *is* the
-        capture group — and is skipped when that answer is empty.  The
-        slack is the same float operations in the same order:
+        ``valid[r, f]`` says whether flip-flop ``f`` seeds row ``r``'s
+        search, with slack ``slack[r, f]``, excluding ``group[r, f]``.
+        Entry by entry this is the per-FF loop: at a level, a
+        participating flip-flop queries ``at_auto(D pin, capture
+        group)`` — the primary tuple, or the fallback where the primary
+        tuple's group *is* the capture group; rows ``D`` and ``D + 1``
+        exclude no group (``NO_GROUP``), so every flip-flop reads the
+        primary tuple.  An empty answer skips the flip-flop.  The slack
+        is the same float operations in the same order:
         ``((at_early + period) - t_setup) - t`` for setup,
         ``t - (at_late + t_hold)`` for hold.
         """
         _q, _ck, node, _ce, _cl, d_pin, t_setup, t_hold = \
             _ff_columns(graph)
+        levels = self.num_levels
         gm = self.group_matrix
         empty = self.mode.empty_time
         t0 = self.time0[:, d_pin]
-        t = np.where(self.group0[:, d_pin] == gm,
-                     self.time1[:, d_pin], t0)
-        valid = (gm >= 0) & (t0 != empty) & (t != empty)
+        t = t0.copy()
+        t[:levels] = np.where(self.group0[:levels, d_pin] == gm,
+                              self.time1[:levels, d_pin], t0[:levels])
+        valid = (t0 != empty) & (t != empty)
+        valid[:levels] &= gm >= 0
+        group = np.full(t0.shape, NO_GROUP, dtype=gm.dtype)
+        group[:levels] = gm
         tree = graph.clock_tree
         with np.errstate(invalid="ignore"):
             if self.mode.is_setup:
@@ -239,7 +257,7 @@ class BatchedLevels:
             else:
                 at = np.asarray(tree._at_late, dtype=np.float64)[node]
                 slack = t - (at + t_hold)
-        return valid, slack, d_pin
+        return valid, slack, group, d_pin
 
 
 def _combine_dual_batched(state, levels, empty, is_setup, upd,
@@ -254,10 +272,10 @@ def _combine_dual_batched(state, levels, empty, is_setup, upd,
     fallback.
 
     ``state`` is the stacked ``(timeS, fromS, groupS)`` matrices —
-    rows ``0..D-1`` the best tuple, rows ``D..2D-1`` the fallback —
+    the first ``levels`` rows the best tuple, the rest the fallback —
     so each current-state gather is one numpy call for both halves.
     ``upd`` holds the bucket's distinct destination pins (columns);
-    the batch summaries are ``(D, len(upd))``.  Activity differs per
+    the batch summaries are ``(levels, len(upd))``.  Activity differs per
     row, so every segment is processed and a per-element ``bvalid``
     guard masks segments whose batch is empty for that row:
     with ``bvalid`` false the best keeps the current tuple, the losing
@@ -373,16 +391,17 @@ def _bucket_pads(graph: TimingGraph, core):
     Each entry also carries the bucket's static *virginity*: whether
     its destination columns are guaranteed to still hold their initial
     empty state when the bucket combines — true unless a destination
-    is a (potentially seeded) flip-flop Q pin or was already a
-    destination of an earlier bucket.  This is conservative (an
-    earlier bucket may have been skipped as all-empty at run time);
-    non-virgin buckets take the full merge, which handles empty state
-    correctly either way.
+    is a (potentially seeded) flip-flop Q pin or primary-input pin or
+    was already a destination of an earlier bucket.  This is
+    conservative (an earlier bucket may have been skipped as all-empty
+    at run time); non-virgin buckets take the full merge, which handles
+    empty state correctly either way.
     """
     pads = getattr(graph, "_batched_pads", None)
     if pads is None:
         written = np.zeros(core.num_pins, dtype=bool)
         written[_ff_columns(graph)[0]] = True
+        written[[pi.pin for pi in graph.primary_inputs]] = True
         pads = []
         for b in core.level_buckets:
             virgin = not written[b.seg_dst].any()
@@ -440,13 +459,13 @@ def _ff_columns(graph: TimingGraph):
     return cols
 
 
-def _sweep(graph: TimingGraph, cores, state, D, empty, is_setup) -> None:
+def _sweep(graph: TimingGraph, cores, state, R, empty, is_setup) -> None:
     """Relax every level bucket over the stacked dual-tuple state.
 
-    ``state`` stacks ``C = len(cores)`` corners of ``D`` levels each, so
-    each row half holds ``C * D`` rows.  A bucket's candidate matrix is
+    ``state`` stacks ``C = len(cores)`` corners of ``R`` rows each, so
+    each row half holds ``C * R`` rows.  A bucket's candidate matrix is
     the gathered source state plus each corner's edge delays: the
-    ``(C, m)`` delay rows broadcast against a ``(2, C, D, m)`` view, so
+    ``(C, m)`` delay rows broadcast against a ``(2, C, R, m)`` view, so
     every corner block sees exactly its own ``timeS[:, src] + delay``
     element-wise adds.  Everything after that — segment geometry,
     reductions, argmin recovery, the dual-state combine — is row-count
@@ -454,7 +473,7 @@ def _sweep(graph: TimingGraph, cores, state, D, empty, is_setup) -> None:
     """
     timeS, fromS, groupS = state
     C = len(cores)
-    levels = C * D
+    levels = C * R
     core = cores[0]
     reduce_best = np.maximum.reduceat if is_setup else np.minimum.reduceat
     pick_best = np.maximum if is_setup else np.minimum
@@ -468,7 +487,7 @@ def _sweep(graph: TimingGraph, cores, state, D, empty, is_setup) -> None:
             delays = np.stack([c.level_buckets[bi].late for c in cores])
         else:
             delays = np.stack([c.level_buckets[bi].early for c in cores])
-        tS = (timeS[:, src].reshape(2, C, D, m)
+        tS = (timeS[:, src].reshape(2, C, R, m)
               + delays[None, :, None, :]).reshape(2 * levels, m)
         ta, tb = tS[:levels], tS[levels:]
         # Buckets whose sources carry no fallback state yet
@@ -633,7 +652,7 @@ def _sweep(graph: TimingGraph, cores, state, D, empty, is_setup) -> None:
 
 def propagate_dual_batched(graph: TimingGraph,
                            mode: AnalysisMode) -> BatchedLevels:
-    """Run the grouped forward pass for **all** levels in one sweep.
+    """Run every family's forward pass in one sweep.
 
     The single-corner case of :func:`propagate_dual_batched_corners`.
     """
@@ -642,27 +661,28 @@ def propagate_dual_batched(graph: TimingGraph,
 
 def propagate_dual_batched_corners(graphs, mode: AnalysisMode
                                    ) -> list:
-    """Run the grouped forward pass for ``C`` corners in ONE sweep.
+    """Run every family's forward pass for ``C`` corners in ONE sweep.
 
     ``graphs`` are the corner-realized graphs: same topology, one
     shared :class:`~repro.core.arrays.CoreStructure`, per-corner
     :class:`~repro.core.arrays.CoreValues` columns and clock trees (a
-    single graph is the ``C = 1`` case).  The dual-tuple state is
-    stacked a second time — ``(2 * C * D, n)`` with corner ``c``'s
-    level-``d`` best row at ``c * D + d`` — so the whole multi-corner
-    analysis pays *one* grouping-matrix application, one relaxation per
-    level bucket, and one deviation-cost pass instead of ``C`` of each.
-    Per-bucket edge delays broadcast through a ``(2, C, D, m)`` reshape
-    view, and per-corner fanin delays through a ``(C, D, m_fanin)``
-    view, so every corner's rows see the element-wise IEEE-754
-    operation sequence of a ``C = 1`` build of that corner alone — the
-    returned list of per-corner :class:`BatchedLevels` (row-slice views
-    into the stacked matrices) is bit-for-bit what ``C`` independent
-    builds would produce.
+    single graph is the ``C = 1`` case).  With ``R = D + 2`` rows per
+    corner the dual-tuple state is stacked a second time — ``(2 * C *
+    R, n)`` with corner ``c``'s row-``r`` best tuple at ``c * R + r`` —
+    so the whole multi-corner analysis pays *one* grouping-matrix
+    application, one relaxation per level bucket, and one
+    deviation-cost pass instead of ``C`` of each.  Per-bucket edge
+    delays broadcast through a ``(2, C, R, m)`` reshape view, and
+    per-corner fanin delays through a ``(C, R, m_fanin)`` view, so every
+    corner's rows see the element-wise IEEE-754 operation sequence of a
+    ``C = 1`` build of that corner alone — the returned list of
+    per-corner :class:`BatchedLevels` (row-slice views into the stacked
+    matrices) is bit-for-bit what ``C`` independent builds would
+    produce.
 
     Counters: one ``batched.builds``, ``batched.corners`` = ``C``,
-    ``batched.levels`` = ``C * D`` (total stacked rows), seed/visit
-    totals and per-level breakdowns summed across corners.
+    ``batched.levels`` = ``C * D`` (the stacked level rows), seed/visit
+    totals over all rows and per-row breakdowns summed across corners.
     """
     mode = AnalysisMode.coerce(mode)
     faults.check("numpy.import")
@@ -676,7 +696,8 @@ def propagate_dual_batched_corners(graphs, mode: AnalysisMode
                 "corners with repro.corners.CornerSet.realize")
     C = len(graphs)
     D = base.clock_tree.num_levels
-    levels = C * D
+    R = D + 2
+    rows = C * R
     n = base.num_pins
     num_ffs = base.num_ffs
     empty = mode.empty_time
@@ -699,15 +720,20 @@ def propagate_dual_batched_corners(graphs, mode: AnalysisMode
             q_pin, ck_pin, node, ctq_early, ctq_late, *_ = \
                 _ff_columns(base)
             clk_to_q = ctq_late if is_setup else ctq_early
-            timeS = np.full((2 * levels, n), empty, dtype=np.float64)
-            fromS = np.full((2 * levels, n), NO_NODE, dtype=np.int32)
-            groupS = np.full((2 * levels, n), NO_GROUP, dtype=np.int32)
-            time0, time1 = timeS[:levels], timeS[levels:]
-            from0, from1 = fromS[:levels], fromS[levels:]
-            group0, group1 = groupS[:levels], groupS[levels:]
+            # Every corner graph shares the base's port records.
+            pis = base.primary_inputs
+            pi_pin = np.array([pi.pin for pi in pis], dtype=np.int64)
+            pi_time = np.array([pi.at_late if is_setup else pi.at_early
+                                for pi in pis], dtype=np.float64)
+            timeS = np.full((2 * rows, n), empty, dtype=np.float64)
+            fromS = np.full((2 * rows, n), NO_NODE, dtype=np.int32)
+            groupS = np.full((2 * rows, n), NO_GROUP, dtype=np.int32)
+            time0, time1 = timeS[:rows], timeS[rows:]
+            from0, from1 = fromS[:rows], fromS[rows:]
+            group0, group1 = groupS[:rows], groupS[rows:]
             state = (timeS, fromS, groupS)
 
-            seed_counts = np.zeros((C, D), dtype=np.int64)
+            seed_counts = np.zeros((C, R), dtype=np.int64)
             for ci, g in enumerate(graphs):
                 tree = g.clock_tree
                 gm, om = gms[ci], oms[ci]
@@ -717,16 +743,28 @@ def propagate_dual_batched_corners(graphs, mode: AnalysisMode
                 base_t = at[node] + clk_to_q
                 q_time = base_t - om if is_setup else base_t + om
                 part = gm >= 0
-                rows, cols = np.nonzero(part)
-                time0[ci * D + rows, q_pin[cols]] = q_time[rows, cols]
-                from0[ci * D + rows, q_pin[cols]] = ck_pin[cols]
-                group0[ci * D + rows, q_pin[cols]] = gm[rows, cols]
-                seed_counts[ci] = part.sum(axis=1)
+                r, cols = np.nonzero(part)
+                top = ci * R
+                time0[top + r, q_pin[cols]] = q_time[r, cols]
+                from0[top + r, q_pin[cols]] = ck_pin[cols]
+                group0[top + r, q_pin[cols]] = gm[r, cols]
+                seed_counts[ci, :D] = part.sum(axis=1)
+                # Row D: every flip-flop, offset by its own credit.
+                # Row D + 1: every primary input at its arrival.  Both
+                # rows seed one group (0), so no fallback ever forms.
+                credit = tree_lift(tree).credits[node]
+                time0[top + D, q_pin] = (base_t - credit if is_setup
+                                         else base_t + credit)
+                from0[top + D, q_pin] = ck_pin
+                group0[top + D, q_pin] = 0
+                time0[top + D + 1, pi_pin] = pi_time
+                group0[top + D + 1, pi_pin] = 0
+                seed_counts[ci, D:] = (num_ffs, len(pis))
             num_seeds = int(seed_counts.sum())
 
         with _obs.span("sweep"):
             if num_seeds:
-                _sweep(base, cores, state, D, empty, is_setup)
+                _sweep(base, cores, state, R, empty, is_setup)
 
         with _obs.span("deviation_costs"):
             mf = len(structure.fanin_dst)
@@ -737,7 +775,7 @@ def propagate_dual_batched_corners(graphs, mode: AnalysisMode
                                 out=cost0)
                     lates = np.stack([c.values.fanin_late
                                       for c in cores])
-                    c3 = cost0.reshape(C, D, mf)
+                    c3 = cost0.reshape(C, R, mf)
                     np.subtract(c3, lates[:, None, :], out=c3)
                     delay_lists = [c.values.fanin_late_list
                                    for c in cores]
@@ -745,7 +783,7 @@ def propagate_dual_batched_corners(graphs, mode: AnalysisMode
                     cost0 = time0[:, structure.fanin_src]
                     earlies = np.stack([c.values.fanin_early
                                         for c in cores])
-                    c3 = cost0.reshape(C, D, mf)
+                    c3 = cost0.reshape(C, R, mf)
                     np.add(c3, earlies[:, None, :], out=c3)
                     np.subtract(cost0, time0[:, structure.fanin_dst],
                                 out=cost0)
@@ -756,23 +794,23 @@ def propagate_dual_batched_corners(graphs, mode: AnalysisMode
 
     col = _obs.ACTIVE
     if col is not None:
-        visited = (time0 != empty).sum(axis=1).reshape(C, D)
+        visited = (time0 != empty).sum(axis=1).reshape(C, R)
         col.add("batched.builds")
         col.add("batched.corners", C)
-        col.add("batched.levels", levels)
+        col.add("batched.levels", C * D)
         col.add("propagation.seeds", num_seeds)
         col.add("propagation.pins_visited", int(visited.sum()))
-        level_seeds = seed_counts.sum(axis=0)
-        level_visited = visited.sum(axis=0)
-        for level in range(D):
-            col.add(f"batched.seeds.level[{level}]",
-                    int(level_seeds[level]))
-            col.add(f"batched.pins_visited.level[{level}]",
-                    int(level_visited[level]))
+        row_seeds = seed_counts.sum(axis=0).tolist()
+        row_visited = visited.sum(axis=0).tolist()
+        names = [f"level[{level}]" for level in range(D)]
+        names += ["self_loop", "primary_input"]
+        for name, seeds, pins in zip(names, row_seeds, row_visited):
+            col.add(f"batched.seeds.{name}", seeds)
+            col.add(f"batched.pins_visited.{name}", pins)
 
     results = []
     for ci in range(C):
-        lo, hi = ci * D, (ci + 1) * D
+        lo, hi = ci * R, (ci + 1) * R
         results.append(BatchedLevels(
             mode, D, groupings[ci], seed_counts[ci].tolist(), gms[ci],
             time0[lo:hi], from0[lo:hi], group0[lo:hi],

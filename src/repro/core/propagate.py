@@ -1,19 +1,16 @@
 """``backend="array"`` building blocks shared by the numpy passes.
 
-* :func:`propagate_single_array` — the ungrouped single-tuple pass of
-  Algorithms 3 and 4 (self-loop and primary-input candidates).  It
-  computes exactly what the scalar loop in
-  :mod:`repro.cppr.propagation` computes, but one source level at a
-  time with bulk array operations instead of a per-edge interpreter
-  loop.
+* :func:`propagate_single_array` — a standalone ungrouped single-tuple
+  pass (the output family, targeted queries, baselines; the engine's
+  self-loop and primary-input passes are rows of the batched sweep).
+  It computes exactly what the scalar loop in
+  :mod:`repro.cppr.propagation` computes, one source level at a time
+  with bulk array operations.
 * :class:`FastDeviation` — the deviation-cost column for the graph's
-  fanin CSR, precomputed in one vectorized pass over all edges, which
-  the top-k search in :mod:`repro.cppr.deviation` consumes in place of
-  per-edge ``auto()`` queries.
+  fanin CSR, which the top-k search in :mod:`repro.cppr.deviation`
+  consumes in place of per-edge ``auto()`` queries.
 * ``_beats`` / ``_lex_beats`` — the element-wise tie-break comparisons
-  the grouped dual-tuple pass shares.  That pass lives in
-  :mod:`repro.core.batched`, which relaxes all ``D`` levels in one
-  sweep.
+  the batched sweep (:mod:`repro.core.batched`) shares.
 
 Correctness of the level-wise relaxation rests on two facts:
 
@@ -137,7 +134,7 @@ def _lex_beats(is_setup: bool, bt, bf, bg, at, af, ag):
 
 def propagate_single_array(graph: TimingGraph, mode: AnalysisMode,
                            seeds: Iterable) -> "SingleArrivalArrays":
-    """Array-backend ungrouped forward pass (Algorithms 3 and 4)."""
+    """Array-backend standalone ungrouped forward pass."""
     from repro.cppr.propagation import SingleArrivalArrays
 
     faults.check("numpy.import")

@@ -25,7 +25,7 @@ A :class:`CornerSet` is the ordered, uniquely-named collection an
 engine analyzes together.  Passing a set via
 ``CpprOptions(corners=...)`` makes
 :class:`~repro.cppr.engine.CpprEngine` run all ``C`` corners through
-one fused ``(C * 2D, n)`` propagation sweep
+one fused ``(C * 2(D + 2), n)`` propagation sweep
 (:func:`~repro.core.batched.propagate_dual_batched_corners`) and one
 task fan-out, with per-corner results bit-for-bit identical to ``C``
 independent single-corner engines.  See ``docs/MCMM.md``.

@@ -84,13 +84,14 @@ class CpprOptions:
     backend:
         ``"auto"``, ``"scalar"`` or ``"array"`` — the compute substrate
         for the per-pass propagation, grouping and deviation costs (see
-        :mod:`repro.core`).  The array backend runs the ``D`` per-level
-        forward propagations as one ``(2D, n)`` batched sweep
-        (:mod:`repro.core.batched`); the scalar backend runs ``D``
-        independent reference passes.  ``"auto"`` picks ``"array"``
-        when numpy is importable and falls back to ``"scalar"``
-        otherwise; requesting ``"array"`` without numpy raises at
-        engine construction.  Both backends produce identical reports.
+        :mod:`repro.core`).  The array backend runs the ``D + 2``
+        family propagations (levels, self-loops, primary inputs) as one
+        ``(2(D + 2), n)`` batched sweep (:mod:`repro.core.batched`); the
+        scalar backend runs ``D + 2`` independent reference passes.
+        ``"auto"`` picks ``"array"`` when numpy is importable and falls
+        back to ``"scalar"`` otherwise; requesting ``"array"`` without
+        numpy raises at engine construction.  Both backends produce
+        identical reports.
     task_timeout:
         Seconds each pooled per-level task may take before the
         scheduler declares it hung and re-runs it on a safer executor
@@ -134,16 +135,18 @@ class CpprOptions:
 def _run_family(analyzer: TimingAnalyzer, task: tuple, k: int,
                 mode: AnalysisMode, heap_capacity: int | None,
                 backend: str, batch=None) -> list[TimingPath]:
-    """Dispatch one candidate-generation pass."""
+    """Dispatch one candidate-generation pass; ``batch`` serves every
+    family but the output family."""
     kind = task[0]
     if kind == "level":
         return paths_at_level(analyzer, task[1], k, mode, heap_capacity,
                               backend, batch)
     if kind == "self_loop":
-        return self_loop_paths(analyzer, k, mode, heap_capacity, backend)
+        return self_loop_paths(analyzer, k, mode, heap_capacity, backend,
+                               batch)
     if kind == "primary_input":
         return primary_input_paths(analyzer, k, mode, heap_capacity,
-                                   backend)
+                                   backend, batch)
     if kind == "output":
         return output_paths(analyzer, k, mode, heap_capacity, backend)
     raise AnalysisError(f"unknown candidate family task {task!r}")
@@ -444,10 +447,10 @@ class CpprEngine:
         """One fused candidate-generation pass over every corner item.
 
         All ``C`` corners (or the single base design) share one
-        structure/values/propagation prologue, one stacked ``(C * 2D,
-        n)`` sweep, and ONE task fan-out of ``C * (D + 2)`` family
-        passes — the amortization this engine's corner axis exists
-        for.  Returns per-corner candidate lists keyed like
+        structure/values/propagation prologue, one stacked ``(C * 2(D
+        + 2), n)`` sweep on the array backend, and ONE task fan-out of
+        ``C * (D + 2)`` family passes — the amortization this engine's
+        corner axis exists for.  Returns per-corner candidate lists keyed like
         :meth:`_corner_items`.
         """
         strict = self.options.strict
@@ -481,23 +484,22 @@ class CpprEngine:
                     from repro.core.arrays import get_core
                     for _name, analyzer in items:
                         get_core(analyzer.graph)
-            # One stacked sweep replaces the C * D per-level
+            # One stacked sweep replaces the C * (D + 2) family
             # propagations; it runs in this process before the pool
             # starts, so thread and forked workers inherit the shared
-            # matrices for free and parallelize the per-level
-            # deviation searches.
+            # matrices for free and parallelize the deviation searches.
             batches: dict[str | None, object] = {name: None
                                                  for name, _ in items}
             backend = self.backend
             with _obs.span("stage", "propagation"):
-                if backend == "array" and self.analyzer.clock_tree.num_levels:
+                if backend == "array":
                     try:
                         from repro.core.batched import \
                             propagate_dual_batched_corners
                         built = propagate_dual_batched_corners(
                             [analyzer.graph for _n, analyzer in items],
                             mode)
-                        # Every level's capture seeds in one pass here,
+                        # Every row's capture seeds in one pass here,
                         # so forked workers inherit them instead of
                         # each recomputing them.
                         for (_name, analyzer), batch in zip(items, built):

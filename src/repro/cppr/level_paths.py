@@ -16,12 +16,13 @@ from __future__ import annotations
 from repro.cppr.deviation import CaptureSeed, run_topk
 from repro.cppr.grouping import group_for_level
 from repro.cppr.propagation import Seed, propagate_dual
+from repro.cppr.tuples import NO_GROUP
 from repro.cppr.types import PathFamily, TimingPath
 from repro.obs import collector as _obs
 from repro.sta.modes import AnalysisMode
 from repro.sta.timing import TimingAnalyzer
 
-__all__ = ["level_capture_seeds", "paths_at_level"]
+__all__ = ["level_capture_seeds", "level_seed_map", "paths_at_level"]
 
 
 def paths_at_level(analyzer: TimingAnalyzer, level: int, k: int,
@@ -49,25 +50,51 @@ def paths_at_level(analyzer: TimingAnalyzer, level: int, k: int,
                                backend, batch)
 
 
+def level_seed_map(graph, mode: AnalysisMode, grouping
+                   ) -> dict[int, tuple[float, int, int]]:
+    """Each participating Q pin's launch tuple ``(time, from, group)``.
+
+    ``time`` is ``(clock arrival + clk-to-q) ∓ credit(f_d(launch FF))``,
+    the offset subtracted for setup and added for hold (Algorithm 2
+    lines 4, 6).  Sessions keep the map; a pass seeds from it.
+    """
+    tree = graph.clock_tree
+    seeds = {}
+    for ff in graph.ffs:
+        if not grouping.participates(ff.index):
+            continue
+        node = ff.tree_node
+        offset = grouping.launch_offset[ff.index]
+        if mode.is_setup:
+            q_at = tree.at_late(node) + ff.clk_to_q_late - offset
+        else:
+            q_at = tree.at_early(node) + ff.clk_to_q_early + offset
+        seeds[ff.q_pin] = (q_at, ff.ck_pin, grouping.group[ff.index])
+    return seeds
+
+
 def level_capture_seeds(analyzer: TimingAnalyzer, grouping, arrays,
                         mode: AnalysisMode) -> list[CaptureSeed]:
-    """The best path into each capture point of one level family.
+    """The best path into each capture point of one family.
 
     One seed per participating flip-flop whose D pin ``at_auto``
     reaches with its capture group excluded (Algorithm 5 lines 3-7),
-    in flip-flop order, ranked by the level's slack.  This loop is the
-    scalar and session implementation;
-    :meth:`repro.core.batched.BatchedLevels.capture_seeds` computes the
-    same list for every level of a batched sweep at once.
+    in flip-flop order, ranked by the family's slack.  ``grouping``
+    ``None`` is a single-tuple family: every flip-flop participates and
+    no group is excluded.  This loop is the scalar and session
+    implementation; :meth:`repro.core.batched.BatchedLevels.capture_seeds`
+    computes the same list for every row of a batched sweep at once.
     """
     graph = analyzer.graph
     tree = graph.clock_tree
     clock_period = analyzer.constraints.clock_period
     capture_seeds = []
     for ff in graph.ffs:
-        if not grouping.participates(ff.index):
-            continue
-        capture_group = grouping.group[ff.index]
+        capture_group = NO_GROUP
+        if grouping is not None:
+            if not grouping.participates(ff.index):
+                continue
+            capture_group = grouping.group[ff.index]
         record = arrays.auto(ff.d_pin, capture_group)
         if record is None:
             continue
@@ -102,20 +129,8 @@ def _paths_at_level(analyzer: TimingAnalyzer, level: int, k: int,
         capture_seeds = batch.capture_seeds(level, analyzer)
     else:
         grouping = group_for_level(tree, level, graph.num_ffs)
-
-        seeds = []
-        for ff in graph.ffs:
-            if not grouping.participates(ff.index):
-                continue
-            node = ff.tree_node
-            offset = grouping.launch_offset[ff.index]
-            if mode.is_setup:
-                q_at = tree.at_late(node) + ff.clk_to_q_late - offset
-            else:
-                q_at = tree.at_early(node) + ff.clk_to_q_early + offset
-            seeds.append(Seed(ff.q_pin, q_at, ff.ck_pin,
-                              grouping.group[ff.index]))
-
+        seeds = [Seed(pin, *seed) for pin, seed
+                 in level_seed_map(graph, mode, grouping).items()]
         if not seeds:
             return []
         with _obs.span("propagate"):

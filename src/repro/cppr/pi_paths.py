@@ -2,77 +2,43 @@
 
 Paths launched from a primary input share no clock path with their capture
 clock, so there is no pessimism to remove: candidates are ranked by the
-plain pre-CPPR slack and their credit is zero.
+plain pre-CPPR slack and their credit is zero.  The pass is the
+self-loop family's single-tuple body
+(:func:`~repro.cppr.selfloop_paths.single_tuple_paths`) seeded at the
+primary inputs.
 """
 
 from __future__ import annotations
 
-from repro.cppr.deviation import CaptureSeed, run_topk
-from repro.cppr.propagation import Seed, propagate_single
+from repro.cppr.selfloop_paths import single_tuple_paths
+from repro.cppr.tuples import NO_NODE
 from repro.cppr.types import PathFamily, TimingPath
 from repro.obs import collector as _obs
 from repro.sta.modes import AnalysisMode
 from repro.sta.timing import TimingAnalyzer
 
-__all__ = ["primary_input_paths"]
+__all__ = ["primary_input_paths", "primary_input_seed_map"]
 
 
 def primary_input_paths(analyzer: TimingAnalyzer, k: int,
                         mode: AnalysisMode | str,
                         heap_capacity: int | None = None,
                         backend: str = "scalar",
-                        arrays=None) -> list[TimingPath]:
+                        batch=None) -> list[TimingPath]:
     """Top-``k`` primary-input path candidates, best slack first.
 
-    ``arrays`` optionally supplies this family's already-propagated
-    :class:`~repro.cppr.propagation.SingleArrivalArrays` (an incremental
-    session's maintained state), skipping the forward pass here.
+    ``batch`` optionally supplies the mode's already-propagated rows;
+    the family then reads row ``D + 1`` instead of propagating (see
+    :func:`~repro.cppr.selfloop_paths.self_loop_paths`).
     """
     with _obs.span("primary_input"):
-        return _primary_input_paths(analyzer, k, mode, heap_capacity,
-                                    backend, arrays)
+        return single_tuple_paths(analyzer, k, mode, heap_capacity,
+                                  backend, batch, PathFamily.PRIMARY_INPUT,
+                                  primary_input_seed_map)
 
 
-def _primary_input_paths(analyzer: TimingAnalyzer, k: int,
-                         mode: AnalysisMode | str,
-                         heap_capacity: int | None,
-                         backend: str, arrays=None) -> list[TimingPath]:
-    mode = AnalysisMode.coerce(mode)
-    graph = analyzer.graph
-    tree = graph.clock_tree
-    clock_period = analyzer.constraints.clock_period
-
-    if arrays is None:
-        seeds = [Seed(pi.pin,
-                      pi.at_late if mode.is_setup else pi.at_early)
-                 for pi in graph.primary_inputs]
-        if not seeds:
-            return []
-        with _obs.span("propagate"):
-            arrays = propagate_single(graph, mode, seeds, backend)
-    elif not graph.primary_inputs:
-        return []
-
-    capture_seeds = []
-    for ff in graph.ffs:
-        record = arrays.best(ff.d_pin)
-        if record is None:
-            continue
-        if mode.is_setup:
-            slack = (tree.at_early(ff.tree_node) + clock_period
-                     - ff.t_setup - record[0])
-        else:
-            slack = record[0] - (tree.at_late(ff.tree_node) + ff.t_hold)
-        capture_seeds.append(
-            CaptureSeed(slack, ff.d_pin, capture_ff=ff.index))
-
-    with _obs.span("search"):
-        results = run_topk(graph, arrays, capture_seeds, k, mode,
-                           heap_capacity)
-
-    paths = [TimingPath(mode=mode, family=PathFamily.PRIMARY_INPUT,
-                        slack=result.slack, credit=0.0, pins=result.pins,
-                        launch_ff=None, capture_ff=result.capture_ff)
-             for result in results]
-    _obs.add("candidates.produced.primary_input", len(paths))
-    return paths
+def primary_input_seed_map(graph, mode: AnalysisMode
+                           ) -> dict[int, tuple[float, int]]:
+    """Every primary input at its own arrival, with no ``from`` pin."""
+    return {pi.pin: (pi.at_late if mode.is_setup else pi.at_early, NO_NODE)
+            for pi in graph.primary_inputs}

@@ -10,21 +10,23 @@ Two variants, matching the paper:
   and 4 (self-loop and primary-input candidates), which needs no group
   bookkeeping and only one tuple per pin.
 
-The grouped pass has two producers:
+The engine's passes have two producers:
 
-* :func:`propagate_dual` below — the readable pure-Python reference
-  (``backend="scalar"``): one ``offer`` per (edge, tuple), pins walked
-  in topological order.  It is the oracle the array backend is tested
-  against and the path installs without numpy run.
+* :func:`propagate_dual` and :func:`propagate_single` below — the
+  readable pure-Python references (``backend="scalar"``), pins walked
+  in topological order.  They are the oracle the array backend is
+  tested against and the path installs without numpy run.
 * :func:`repro.core.batched.propagate_dual_batched` — the array
-  backend: **all** ``D`` per-level grouped passes as one sweep over
-  ``(2D, n)`` state matrices, served back level by level as
-  :class:`DualArrivalArrays` slices together with the precomputed
-  deviation-cost columns the top-k search consumes.
+  backend: the ``D`` level passes *and* the self-loop and
+  primary-input passes as one sweep over ``(2(D + 2), n)`` state
+  matrices, served back row by row as :class:`DualArrivalArrays` or
+  (rows ``D`` and ``D + 1``, one group each) :class:`SingleArrivalArrays`
+  with the precomputed deviation-cost columns the search consumes.
 
-The ungrouped pass takes a ``backend`` argument instead:
-``"scalar"`` runs the loop below, ``"array"`` the level-wise numpy
-relaxation of :func:`repro.core.propagate.propagate_single_array`.
+Standalone single-tuple callers (the output family, the targeted
+queries, the baselines) get the numpy relaxation of
+:func:`repro.core.propagate.propagate_single_array` from
+``propagate_single(..., backend="array")``.
 
 All producers agree **exactly** (same times, same ``from`` pointers,
 same groups) because all implement the shared tie-breaking contract:
@@ -118,13 +120,15 @@ class DualArrivalArrays:
 class SingleArrivalArrays:
     """Single-tuple storage for the ungrouped passes.
 
-    ``fast`` is the array backend's precomputed deviation-cost column,
-    or ``None`` from the scalar backend.
+    The columns are lists from :func:`propagate_single`, or read-only
+    ``memoryview`` rows of the batched sweep.  ``fast`` is the array
+    backend's precomputed deviation-cost column, or ``None`` from the
+    scalar backend.
     """
 
     mode: AnalysisMode
-    time: list[float]
-    from_pin: list[int]
+    time: Sequence[float]
+    from_pin: Sequence[int]
     fast: object | None = None
 
     def auto(self, pin: int,

@@ -11,7 +11,8 @@ task, so nothing heavyweight crosses the pipe:
   propagation in :data:`_QUERY_BATCHES`, and each candidate-family task
   is reduced to a tiny picklable :class:`FamilyDescriptor` — design
   token, the values version of the analyzer's array core, the batch
-  key and the ``(task, k, mode, ...)`` scalars.
+  key (every family but the output family reads the batch) and the
+  ``(task, k, mode, ...)`` scalars.
 
 The pool forks after the sweep: registering a batch for the process
 executor moves :data:`_FORK_SEQ`, so :func:`ensure_pool` forks workers
@@ -172,7 +173,7 @@ class ShardContext:
     def descriptor(self, task: tuple, k: int, mode, heap_capacity,
                    backend: str, strict: bool,
                    corner: str = "-") -> FamilyDescriptor:
-        use_batch = self.batch_key is not None and task[0] == "level"
+        use_batch = self.batch_key is not None and task[0] != "output"
         return FamilyDescriptor(
             design=self.token,
             values_version=self.values_version,

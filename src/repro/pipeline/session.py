@@ -46,13 +46,9 @@ cone.  See ``docs/MCMM.md``.
 
 from __future__ import annotations
 
-from repro.cppr.engine import CpprOptions, _validate_options
-from repro.cppr.level_paths import paths_at_level
+from repro.cppr.engine import CpprOptions, _run_family, _validate_options
 from repro.cppr.parallel import check_deadline
-from repro.cppr.output_paths import output_paths
-from repro.cppr.pi_paths import primary_input_paths
 from repro.cppr.select import select_top_paths
-from repro.cppr.selfloop_paths import self_loop_paths
 from repro.cppr.types import TimingPath
 from repro.exceptions import AnalysisError
 from repro.obs import collector as _obs
@@ -528,8 +524,8 @@ class CpprSession:
                 # (partial candidate lists are discarded, never
                 # selected from).
                 check_deadline()
-                candidates.extend(self._family(task, state, batch, k,
-                                               mode, basis))
+                candidates.extend(self._family(task, batch, k, mode,
+                                               basis))
             check_deadline()
             with _obs.span("pipeline.select"):
                 selected = select_top_paths(self.analyzer, candidates, k)
@@ -551,35 +547,24 @@ class CpprSession:
             return None
         return list(self._select.get((mode.value, best), basis)[:k])
 
-    def _family(self, task: tuple, state: ModeState, batch: SessionBatch,
-                k: int, mode: AnalysisMode,
-                basis: tuple) -> list[TimingPath]:
+    def _family(self, task: tuple, batch: SessionBatch, k: int,
+                mode: AnalysisMode, basis: tuple) -> list[TimingPath]:
         kind = task[0]
         heap_capacity = self.options.heap_capacity
         if kind == "output":
             # The output-extension family propagates from primary
             # inputs and FFs against output constraints; it keeps no
             # session state and always re-runs.
-            return output_paths(self.analyzer, k, mode, heap_capacity,
-                                self.backend)
+            return _run_family(self.analyzer, task, k, mode,
+                               heap_capacity, self.backend)
         level = task[1] if kind == "level" else None
         key = (kind, mode.value, level, k, heap_capacity)
         cached = self._families.get(key, basis)
         if cached is not None:
             return cached
         with _obs.span("pipeline.family", "/".join(map(str, task))):
-            if kind == "level":
-                paths = paths_at_level(self.analyzer, level, k, mode,
-                                       heap_capacity, self.backend,
-                                       batch)
-            elif kind == "self_loop":
-                paths = self_loop_paths(
-                    self.analyzer, k, mode, heap_capacity, self.backend,
-                    arrays=batch.single_arrays(state.self_loop))
-            else:
-                paths = primary_input_paths(
-                    self.analyzer, k, mode, heap_capacity, self.backend,
-                    arrays=batch.single_arrays(state.primary_input))
+            paths = _run_family(self.analyzer, task, k, mode,
+                                heap_capacity, self.backend, batch)
         _obs.add("pipeline.families.rerun")
         self._families.store(key, basis, paths)
         return paths

@@ -5,8 +5,9 @@ propagated for one analysis mode: the dual-tuple columns of every
 clock-tree level plus the single-tuple self-loop / primary-input
 columns, each with its launch-seed map and (on the array substrate) its
 deviation-cost column.  Built once per mode via the ordinary producers
-— the batched ``(D, n)`` sweep or the scalar per-level passes — and
-then *maintained* across delay edits by :func:`replay`.
+— the batched sweep, whose rows ``D`` and ``D + 1`` are the self-loop
+and primary-input passes, or the scalar per-family passes — and then
+*maintained* across delay edits by :func:`replay`.
 
 Replay is exact, not approximate, because the dual-tuple state is an
 **order-independent function of each pin's candidate multiset** (the
@@ -18,13 +19,15 @@ seed plus, per fanin edge, the source's two tuples shifted by the edge
 delay (the same two-operand ``t + delay`` the producers compute).
 Recomputing the winners directly at each dirty pin, in topological
 order so sources are final first, therefore lands bit-for-bit in the
-state a from-scratch sweep of the edited graph would produce.
+state a from-scratch sweep of the edited graph would produce.  The
+single-tuple rows keep their own one-tuple kernel: a one-group row's
+fallback is always empty (``docs/PROOFS.md`` L7), so :func:`replay`
+recomputes only its best tuple.
 
 :class:`SessionBatch` then serves the maintained columns back to the
-unmodified candidate passes through the same ``batch`` protocol the
-batched sweep uses (and the ``arrays=`` parameter of the single-tuple
-passes), so a re-run family is the fresh engine's result by
-construction.
+unmodified candidate passes through the same row-indexed ``batch``
+protocol the batched sweep uses, so a re-run family is the fresh
+engine's result by construction.
 """
 
 from __future__ import annotations
@@ -33,12 +36,14 @@ import math
 
 from repro.circuit.graph import TimingGraph
 from repro.cppr.grouping import group_for_level
-from repro.cppr.level_paths import level_capture_seeds
-from repro.obs import collector as _obs
+from repro.cppr.level_paths import level_capture_seeds, level_seed_map
+from repro.cppr.pi_paths import primary_input_seed_map
 from repro.cppr.propagation import (DualArrivalArrays, Seed,
                                     SingleArrivalArrays, propagate_dual,
                                     propagate_single)
+from repro.cppr.selfloop_paths import self_loop_seed_map
 from repro.cppr.tuples import NO_GROUP, NO_NODE
+from repro.obs import collector as _obs
 from repro.sta.modes import AnalysisMode
 
 __all__ = ["LevelState", "ModeState", "SessionBatch", "build_mode_state",
@@ -51,10 +56,10 @@ class LevelState:
     """One level's dual-tuple columns, seeds, and cost column."""
 
     __slots__ = ("time0", "from0", "group0", "time1", "from1", "group1",
-                 "cost0", "seeds", "num_seeds")
+                 "cost0", "seeds")
 
     def __init__(self, time0, from0, group0, time1, from1, group1,
-                 cost0, seeds, num_seeds) -> None:
+                 cost0, seeds) -> None:
         self.time0 = time0
         self.from0 = from0
         self.group0 = group0
@@ -63,7 +68,6 @@ class LevelState:
         self.group1 = group1
         self.cost0 = cost0
         self.seeds = seeds
-        self.num_seeds = num_seeds
 
 
 class SingleState:
@@ -109,102 +113,66 @@ class ModeState:
         return self.primary_input
 
 
-# ----------------------------------------------------------------------
-# Seed maps — the exact per-pin launch tuples the producers scatter
-# ----------------------------------------------------------------------
-def _level_seed_map(graph: TimingGraph, mode: AnalysisMode, grouping
-                    ) -> dict[int, tuple[float, int, int]]:
-    tree = graph.clock_tree
-    is_setup = mode.is_setup
-    seeds: dict[int, tuple[float, int, int]] = {}
-    for ff in graph.ffs:
-        if not grouping.participates(ff.index):
-            continue
-        node = ff.tree_node
-        offset = grouping.launch_offset[ff.index]
-        if is_setup:
-            q_at = tree.at_late(node) + ff.clk_to_q_late - offset
-        else:
-            q_at = tree.at_early(node) + ff.clk_to_q_early + offset
-        seeds[ff.q_pin] = (q_at, ff.ck_pin, grouping.group[ff.index])
-    return seeds
-
-
-def _self_loop_seed_map(graph: TimingGraph, mode: AnalysisMode
-                        ) -> dict[int, tuple[float, int]]:
-    tree = graph.clock_tree
-    is_setup = mode.is_setup
-    seeds: dict[int, tuple[float, int]] = {}
-    for ff in graph.ffs:
-        node = ff.tree_node
-        credit = tree.credit(node)
-        if is_setup:
-            q_at = tree.at_late(node) + ff.clk_to_q_late - credit
-        else:
-            q_at = tree.at_early(node) + ff.clk_to_q_early + credit
-        seeds[ff.q_pin] = (q_at, ff.ck_pin)
-    return seeds
-
-
-def _pi_seed_map(graph: TimingGraph, mode: AnalysisMode
-                 ) -> dict[int, tuple[float, int]]:
-    is_setup = mode.is_setup
-    return {pi.pin: ((pi.at_late if is_setup else pi.at_early), NO_NODE)
-            for pi in graph.primary_inputs}
-
-
-def _single_state(graph: TimingGraph, mode: AnalysisMode, substrate: str,
-                  seed_map: dict[int, tuple[float, int]]) -> SingleState:
-    seeds = [Seed(pin, t, frm) for pin, (t, frm) in seed_map.items()]
-    arrays = propagate_single(graph, mode, seeds, substrate)
-    if arrays.fast is None:
-        return SingleState(arrays.time, arrays.from_pin, None, seed_map)
-    # The array producer serves its cost column as a memoryview; the
-    # session patches costs in place, so it owns them as a list like the
-    # level rows.
-    return SingleState(arrays.time, arrays.from_pin,
-                       arrays.fast.cost0.tolist(), seed_map)
+def _seeds(seed_map: dict) -> list[Seed]:
+    return [Seed(pin, *seed) for pin, seed in seed_map.items()]
 
 
 def build_mode_state(graph: TimingGraph, mode: AnalysisMode,
                      substrate: str, include_self_loops: bool,
                      include_primary_inputs: bool) -> ModeState:
-    """Build the mode's full state via the ordinary producers."""
+    """Build the mode's full state via the ordinary producers.
+
+    On the array substrate one batched sweep yields every row: the
+    levels, then the self-loop (row ``D``) and primary-input (row
+    ``D + 1``) passes.  The scalar substrate runs each family's
+    reference pass.  Either way the session owns its columns as lists,
+    because :func:`replay` and :func:`refresh_costs` patch them in
+    place.
+    """
     mode = AnalysisMode.coerce(mode)
     tree = graph.clock_tree
     num_levels = tree.num_levels
     num_ffs = graph.num_ffs
     levels: list[LevelState] = []
+    batch = None
 
     if substrate == "array":
         from repro.core.batched import propagate_dual_batched
         batch = propagate_dual_batched(graph, mode)
         for d in range(num_levels):
-            seeds = _level_seed_map(graph, mode, batch.grouping(d))
+            seeds = level_seed_map(graph, mode, batch.grouping(d))
             levels.append(LevelState(
                 batch.time0[d].tolist(), batch.from0[d].tolist(),
                 batch.group0[d].tolist(), batch.time1[d].tolist(),
                 batch.from1[d].tolist(), batch.group1[d].tolist(),
-                batch.cost0[d].tolist(), seeds, batch.num_seeds(d)))
+                batch.cost0[d].tolist(), seeds))
     else:
         for d in range(num_levels):
             grouping = group_for_level(tree, d, num_ffs, substrate)
-            seed_map = _level_seed_map(graph, mode, grouping)
-            seeds = [Seed(pin, t, frm, gid)
-                     for pin, (t, frm, gid) in seed_map.items()]
-            arrays = propagate_dual(graph, mode, seeds)
+            seeds = level_seed_map(graph, mode, grouping)
+            arrays = propagate_dual(graph, mode, _seeds(seeds))
             levels.append(LevelState(
                 arrays.time0, arrays.from0, arrays.group0, arrays.time1,
-                arrays.from1, arrays.group1, None, seed_map,
-                len(seeds)))
+                arrays.from1, arrays.group1, None, seeds))
 
-    self_loop = (_single_state(graph, mode, substrate,
-                               _self_loop_seed_map(graph, mode))
-                 if include_self_loops else None)
-    primary_input = (_single_state(graph, mode, substrate,
-                                   _pi_seed_map(graph, mode))
-                     if include_primary_inputs else None)
-    return ModeState(mode, levels, self_loop, primary_input)
+    singles: list[SingleState | None] = []
+    for row, wanted, seed_map in (
+            (num_levels, include_self_loops, self_loop_seed_map),
+            (num_levels + 1, include_primary_inputs,
+             primary_input_seed_map)):
+        if not wanted:
+            singles.append(None)
+            continue
+        seeds = seed_map(graph, mode)
+        if batch is None:
+            arrays = propagate_single(graph, mode, _seeds(seeds))
+            singles.append(SingleState(arrays.time, arrays.from_pin, None,
+                                       seeds))
+        else:
+            singles.append(SingleState(
+                batch.time0[row].tolist(), batch.from0[row].tolist(),
+                batch.cost0[row].tolist(), seeds))
+    return ModeState(mode, levels, *singles)
 
 
 def reseed(state: ModeState, graph: TimingGraph, substrate: str) -> None:
@@ -221,11 +189,12 @@ def reseed(state: ModeState, graph: TimingGraph, substrate: str) -> None:
     backend = "array" if substrate == "array" else "scalar"
     for d, level in enumerate(state.levels):
         grouping = group_for_level(tree, d, num_ffs, backend)
-        level.seeds = _level_seed_map(graph, state.mode, grouping)
+        level.seeds = level_seed_map(graph, state.mode, grouping)
     if state.self_loop is not None:
-        state.self_loop.seeds = _self_loop_seed_map(graph, state.mode)
+        state.self_loop.seeds = self_loop_seed_map(graph, state.mode)
     if state.primary_input is not None:
-        state.primary_input.seeds = _pi_seed_map(graph, state.mode)
+        state.primary_input.seeds = primary_input_seed_map(graph,
+                                                           state.mode)
 
 
 # ----------------------------------------------------------------------
@@ -440,13 +409,13 @@ def refresh_costs(state: ModeState, core, changed: list[set[int]],
 # Serving the maintained state back to the candidate passes
 # ----------------------------------------------------------------------
 class SessionBatch:
-    """A :class:`ModeState` view speaking the batched-levels protocol.
+    """A :class:`ModeState` view speaking the batched-sweep protocol.
 
-    ``paths_at_level(..., batch=session_batch)`` consumes the level's
+    Every family pass given ``batch=session_batch`` consumes its row's
     maintained columns, and their capture seeds, exactly as it would a
-    :class:`~repro.core.batched.BatchedLevels` slice;
-    :meth:`single_arrays` serves the ungrouped families through the
-    passes' ``arrays=`` parameter.
+    :class:`~repro.core.batched.BatchedLevels` row: rows ``0 .. D-1``
+    are the levels, row ``D`` the self-loop and row ``D + 1`` the
+    primary-input state.
     """
 
     __slots__ = ("state", "graph", "core", "backend")
@@ -458,12 +427,16 @@ class SessionBatch:
         self.core = core
         self.backend = "array" if substrate == "array" else "scalar"
 
+    @property
+    def num_levels(self) -> int:
+        return len(self.state.levels)
+
     def grouping(self, level: int):
         return group_for_level(self.graph.clock_tree, level,
                                self.graph.num_ffs, self.backend)
 
-    def num_seeds(self, level: int) -> int:
-        return self.state.levels[level].num_seeds
+    def num_seeds(self, row: int) -> int:
+        return len(self.state.row(row).seeds)
 
     def _fast(self, cost0):
         if cost0 is None or self.core is None:
@@ -475,17 +448,17 @@ class SessionBatch:
         return FastDeviation(core.fanin_ptr_list, core.fanin_src_list,
                              delay, cost0)
 
-    def arrays(self, level: int) -> DualArrivalArrays:
-        row = self.state.levels[level]
+    def arrays(self, row: int) -> DualArrivalArrays | SingleArrivalArrays:
+        state = self.state.row(row)
+        fast = self._fast(state.cost0)
+        if row >= self.num_levels:
+            return SingleArrivalArrays(self.state.mode, state.time,
+                                       state.from_pin, fast=fast)
         return DualArrivalArrays(
-            self.state.mode, row.time0, row.from0, row.group0,
-            row.time1, row.from1, row.group1, fast=self._fast(row.cost0))
+            self.state.mode, state.time0, state.from0, state.group0,
+            state.time1, state.from1, state.group1, fast=fast)
 
-    def capture_seeds(self, level: int, analyzer) -> list:
-        return level_capture_seeds(analyzer, self.grouping(level),
-                                   self.arrays(level), self.state.mode)
-
-    def single_arrays(self, row: SingleState) -> SingleArrivalArrays:
-        return SingleArrivalArrays(self.state.mode, row.time,
-                                   row.from_pin,
-                                   fast=self._fast(row.cost0))
+    def capture_seeds(self, row: int, analyzer) -> list:
+        grouping = self.grouping(row) if row < self.num_levels else None
+        return level_capture_seeds(analyzer, grouping, self.arrays(row),
+                                   self.state.mode)

@@ -14,11 +14,18 @@ import pytest
 
 np = pytest.importorskip("numpy", exc_type=ImportError)
 
-from repro.core.batched import propagate_dual_batched
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro import TimingAnalyzer
+from repro.core.batched import (propagate_dual_batched,
+                                propagate_dual_batched_corners)
 from repro.cppr.grouping import group_for_level
 from repro.obs import collecting
 from repro.sta.modes import AnalysisMode
-from tests.helpers import (assert_batched_rows_match_scalar, demo_design,
+from tests.corners.helpers import random_corner_set
+from tests.helpers import (assert_batched_rows_match_scalar,
+                           assert_single_rows_match_standalone, demo_design,
                            random_small)
 
 MODES = list(AnalysisMode)
@@ -36,6 +43,43 @@ def test_rows_match_standalone_passes(design_seed, mode):
 def test_layered_design_rows_match(mode):
     graph, _constraints = random_small(5, layers=3, channels=2,
                                        num_gates=18)
+    assert_batched_rows_match_scalar(graph, mode)
+
+
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(0, 10_000), count=st.integers(1, 4))
+def test_single_rows_of_fused_corners_match_standalone(seed, count):
+    # Rows D and D + 1 of every corner of a C = 1..4 fused sweep are
+    # that corner's standalone self-loop and primary-input passes.
+    graph, constraints = random_small(seed)
+    realized = random_corner_set(graph, seed=seed, count=count).realize(
+        TimingAnalyzer(graph, constraints), "array")
+    graphs = [analyzer.graph for analyzer in realized.values()]
+    for mode in MODES:
+        batches = propagate_dual_batched_corners(graphs, mode)
+        assert len(batches) == count
+        for corner_graph, batch in zip(graphs, batches):
+            assert_single_rows_match_standalone(corner_graph, batch, mode)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_design_without_primary_inputs(mode):
+    graph, _constraints = random_small(3, num_pis=0)
+    assert not graph.primary_inputs
+    batch = propagate_dual_batched(graph, mode)
+    levels = batch.num_levels
+    assert batch.num_seeds(levels + 1) == 0
+    assert (batch.time0[levels + 1] == mode.empty_time).all()
+    assert_batched_rows_match_scalar(graph, mode)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_flip_flops_at_unequal_depths(mode):
+    # The self-loop row folds each flip-flop's own credit, which is
+    # not the deepest level's offset for a shallower flip-flop.
+    graph, _constraints = random_small(0)
+    tree = graph.clock_tree
+    assert len({tree.depth(ff.tree_node) for ff in graph.ffs}) > 1
     assert_batched_rows_match_scalar(graph, mode)
 
 
@@ -69,11 +113,14 @@ def test_counters_cover_every_level():
     profile = col.profile()
     assert profile.counter("batched.builds") == 1
     assert profile.counter("batched.levels") == num_levels
-    seeds = [profile.counter(f"batched.seeds.level[{d}]")
-             for d in range(num_levels)]
-    visited = [profile.counter(f"batched.pins_visited.level[{d}]")
-               for d in range(num_levels)]
-    # The totals the D separate passes would have emitted.
+    rows = [f"level[{d}]" for d in range(num_levels)]
+    rows += ["self_loop", "primary_input"]
+    seeds = [profile.counter(f"batched.seeds.{row}") for row in rows]
+    visited = [profile.counter(f"batched.pins_visited.{row}")
+               for row in rows]
+    # demo_design launches from all four flip-flops and its one input.
+    assert seeds[-2:] == [graph.num_ffs, 1]
+    # The totals the D + 2 separate passes would have emitted.
     assert profile.counter("propagation.seeds") == sum(seeds)
     assert profile.counter("propagation.pins_visited") == sum(visited)
     # A level with no seeds visits no pins, and vice versa.
@@ -97,3 +144,18 @@ def test_level_columns_are_read_only_views_of_the_sweep():
                                 getattr(batch, name)[1]), name
         with pytest.raises(TypeError):
             column[0] = column[0]
+
+
+def test_single_rows_are_read_only_views_of_the_sweep():
+    graph, _constraints = demo_design()
+    batch = propagate_dual_batched(graph, AnalysisMode.HOLD)
+    for row in (batch.num_levels, batch.num_levels + 1):
+        arrays = batch.arrays(row)
+        columns = {"time0": arrays.time, "from0": arrays.from_pin,
+                   "cost0": arrays.fast.cost0}
+        for name, column in columns.items():
+            assert isinstance(column, memoryview), name
+            assert np.shares_memory(np.asarray(column),
+                                    getattr(batch, name)[row]), name
+            with pytest.raises(TypeError):
+                column[0] = column[0]

@@ -1,11 +1,12 @@
 """The batched capture-seed pass against the per-FF loop.
 
 :meth:`~repro.core.batched.BatchedLevels.capture_seeds` computes every
-level's capture seeds from the sweep's columns in one numpy pass.  It
+row's capture seeds from the sweep's columns in one numpy pass.  It
 must hand the deviation search exactly what the per-FF loop
 (:func:`~repro.cppr.level_paths.level_capture_seeds`) builds: the same
 seeds, in the same order, with bit-equal slacks — on a single-corner
-sweep and on every corner of a fused one.
+sweep and on every corner of a fused one, for the level rows and for
+the self-loop and primary-input rows ``D`` and ``D + 1``.
 """
 
 from __future__ import annotations
@@ -22,6 +23,10 @@ from repro.core.batched import (propagate_dual_batched,
                                 propagate_dual_batched_corners)
 from repro.cppr.grouping import group_for_level
 from repro.cppr.level_paths import level_capture_seeds
+from repro.cppr.pi_paths import primary_input_seed_map
+from repro.cppr.propagation import Seed, propagate_single
+from repro.cppr.selfloop_paths import self_loop_seed_map
+from repro.cppr.tuples import NO_GROUP
 from repro.sta.modes import AnalysisMode
 from tests.corners.helpers import random_corner_set
 from tests.helpers import demo_design, random_small, scalar_level_pass
@@ -41,14 +46,26 @@ def _rows(seeds):
 
 
 def assert_seeds_match_loop(analyzer, batch, mode) -> None:
-    """Every level: the seed pass equals the loop, on two arrays.
+    """Every row: the seed pass equals the loop, on two arrays.
 
-    The loop runs over the batch's own level arrays and over the
+    The loop runs over the batch's own row arrays and over the
     standalone scalar pass, so a wrong seed cannot hide behind a wrong
-    arrival column.
+    arrival column.  Rows ``D`` and ``D + 1`` run the single-tuple
+    loop: every flip-flop, no excluded group.
     """
     graph = analyzer.graph
-    for level in range(batch.num_levels):
+    levels = batch.num_levels
+    for row, seed_map in ((levels, self_loop_seed_map),
+                          (levels + 1, primary_input_seed_map)):
+        got = _rows(batch.capture_seeds(row, analyzer))
+        assert all(group == NO_GROUP for _s, _p, group, _f in got)
+        assert got == _rows(level_capture_seeds(
+            analyzer, None, batch.arrays(row), mode))
+        ref = propagate_single(graph, mode, [
+            Seed(pin, *seed) for pin, seed in seed_map(graph, mode).items()])
+        assert got == _rows(level_capture_seeds(analyzer, None, ref,
+                                                mode))
+    for level in range(levels):
         got = _rows(batch.capture_seeds(level, analyzer))
         grouping = batch.grouping(level)
         assert got == _rows(level_capture_seeds(
@@ -64,30 +81,35 @@ def assert_seeds_match_loop(analyzer, batch, mode) -> None:
 
 
 def _cases(analyzer, batch, mode) -> dict[str, int]:
-    """How many (level, flip-flop) entries fall in each seed case."""
+    """How many (row, flip-flop) entries fall in each seed case."""
     from repro.core.batched import _ff_columns
 
     d_pin = _ff_columns(analyzer.graph)[5]
+    levels = batch.num_levels
     gm = batch.group_matrix
     empty = mode.empty_time
-    t0 = batch.time0[:, d_pin]
-    t1 = batch.time1[:, d_pin]
+    t0 = batch.time0[:levels, d_pin]
+    t1 = batch.time1[:levels, d_pin]
     part = gm >= 0
     reached = part & (t0 != empty)
-    own = reached & (batch.group0[:, d_pin] == gm)
+    own = reached & (batch.group0[:levels, d_pin] == gm)
+    single = batch.time0[levels:, d_pin]
     return {"not participating": int((~part).sum()),
             "D pin unreached": int((part & (t0 == empty)).sum()),
             "primary tuple": int((reached & ~own).sum()),
             "fallback taken": int((own & (t1 != empty)).sum()),
-            "fallback empty": int((own & (t1 == empty)).sum())}
+            "fallback empty": int((own & (t1 == empty)).sum()),
+            "single row reached": int((single != empty).sum()),
+            "single row unreached": int((single == empty).sum())}
 
 
 @pytest.mark.parametrize("mode", MODES)
 def test_every_seed_case_matches_loop(mode):
     # demo_design has an unconnected D pin (ff3), a D pin whose primary
     # tuple comes from its own group with a different-group fallback
-    # (ff2) and one with none (ff1); random_small(0) has flip-flops too
-    # shallow to take part in its deepest level.
+    # (ff2) and one with none (ff1), and D pins its one primary input
+    # does not reach; random_small(0) has flip-flops too shallow to
+    # take part in its deepest level.
     totals: dict[str, int] = {}
     for graph, constraints in (demo_design(), random_small(0)):
         analyzer = TimingAnalyzer(graph, constraints)

@@ -120,3 +120,63 @@ def test_counter_parity():
     assert array.counter("batched.levels") == graph.clock_tree.num_levels
     assert scalar.counter("batched.builds") == 0
     assert array.span_seconds("propagate.batched") > 0.0
+
+
+@pytest.mark.parametrize("executor", ["serial", "thread", "process"])
+def test_array_query_runs_no_single_propagation(executor, monkeypatch):
+    # Rows D and D + 1 of the sweep serve the self-loop and
+    # primary-input families, so an array query never runs the
+    # standalone single-tuple pass.  Patched to raise, any call would
+    # fail the strict query (and degrade, warn, a lenient one).
+    import warnings
+
+    import repro.core.propagate as core_propagate
+    from repro.cppr.parallel import available_executors
+    from repro.cppr.selfloop_paths import self_loop_paths
+    from repro.exceptions import DegradedResultWarning
+
+    if executor not in available_executors():
+        pytest.skip(f"executor {executor} unavailable here")
+    graph, constraints = random_small(11)
+    analyzer = TimingAnalyzer(graph, constraints)
+    want = {mode: _engine(analyzer, "scalar").top_paths(10, mode)
+            for mode in MODES}
+
+    def forbidden(*_args, **_kwargs):
+        raise AssertionError("propagate_single_array called")
+
+    monkeypatch.setattr(core_propagate, "propagate_single_array",
+                        forbidden)
+    # The patch is live: a standalone array caller hits it.
+    with pytest.raises(AssertionError):
+        self_loop_paths(analyzer, 5, "setup", None, "array")
+    for options in ({"strict": True}, {}):
+        engine = _engine(analyzer, "array", executor=executor, workers=2,
+                         **options)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DegradedResultWarning)
+            for mode in MODES:
+                _assert_same(engine.top_paths(10, mode), want[mode])
+        assert engine.last_degraded == ()
+
+
+def test_single_families_read_their_rows():
+    # On the array backend the self-loop and primary-input spans hold
+    # the row slice and the search, and no propagation of their own.
+    graph, constraints = random_small(7)
+    analyzer = TimingAnalyzer(graph, constraints)
+    _paths, profile = _engine(analyzer, "array").profiled_top_paths(
+        5, "setup")
+    families = [node for node in profile.iter_spans()
+                if node.name in ("self_loop", "primary_input")]
+    assert sorted(node.name for node in families) == [
+        "primary_input", "self_loop"]
+    for node in families:
+        assert [child.name for child in node.children] == [
+            "propagate.slice", "search"], node.name
+    _paths, scalar = _engine(analyzer, "scalar").profiled_top_paths(
+        5, "setup")
+    for node in scalar.iter_spans():
+        if node.name in ("self_loop", "primary_input"):
+            assert [child.name for child in node.children] == [
+                "propagate", "search"], node.name

@@ -62,6 +62,26 @@ class TestDescriptors:
         finally:
             ctx.close()
 
+    def test_every_family_but_output_carries_the_batch_key(self):
+        # The self-loop and primary-input passes read rows D and D + 1
+        # of the query's sweep, so their descriptors name its batch
+        # like the level tasks do; the output family never reads it.
+        analyzer = _analyzer(26)
+        mode = AnalysisMode.HOLD
+        CpprEngine(analyzer).top_paths(1, mode)
+        batch = propagate_dual_batched(analyzer.graph, mode)
+        ctx = shard.open_query(analyzer, batch, publish_batch=False)
+        try:
+            assert ctx.batch_key is not None
+            for task in (("level", 0), ("self_loop",), ("primary_input",)):
+                desc = ctx.descriptor(task, 4, mode, None, "array", False)
+                assert desc.batch_key == ctx.batch_key, task
+            desc = ctx.descriptor(("output",), 4, mode, None, "array",
+                                  False)
+            assert desc.batch_key is None
+        finally:
+            ctx.close()
+
     def test_descriptors_are_picklable(self):
         analyzer = _analyzer(22)
         mode = AnalysisMode.SETUP

@@ -136,12 +136,47 @@ def scalar_level_pass(graph: TimingGraph, level: int, mode):
     return propagate_dual(graph, mode, seeds) if seeds else None
 
 
+def assert_single_rows_match_standalone(graph: TimingGraph, batch,
+                                        mode) -> None:
+    """Rows ``D`` and ``D + 1`` of a sweep are the standalone passes.
+
+    The self-loop and primary-input rows hold one group, so their
+    fallback half stays empty; their times and from-pointers are
+    bit-for-bit the scalar ``propagate_single`` pass and their cost
+    column is ``propagate_single_array``'s.
+    """
+    from repro.cppr.pi_paths import primary_input_seed_map
+    from repro.cppr.propagation import Seed, propagate_single
+    from repro.cppr.selfloop_paths import self_loop_seed_map
+
+    def bits(column):
+        return [value.hex() for value in column]
+
+    levels = batch.num_levels
+    for row, seed_map in ((levels, self_loop_seed_map),
+                          (levels + 1, primary_input_seed_map)):
+        seeds = [Seed(pin, *seed)
+                 for pin, seed in seed_map(graph, mode).items()]
+        assert batch.num_seeds(row) == len(seeds)
+        assert (batch.time1[row] == mode.empty_time).all()
+        got = batch.arrays(row)
+        assert not hasattr(got, "time0")
+        ref = propagate_single(graph, mode, seeds)
+        assert bits(got.time) == bits(ref.time)
+        assert list(got.from_pin) == ref.from_pin
+        array = propagate_single(graph, mode, seeds, backend="array")
+        assert bits(got.fast.cost0) == bits(array.fast.cost0)
+        assert got.fast.delay == array.fast.delay
+
+
 def assert_batched_rows_match_scalar(graph: TimingGraph, mode) -> None:
     """Every row of the batched sweep is bit-for-bit its scalar pass.
 
-    Same IEEE-754 arrival values, from-pointers and group ids, and a
-    deviation-cost column equal to the cost formula evaluated edge by
-    edge on the scalar times over the graph's own fanin lists.
+    Level rows: same IEEE-754 arrival values, from-pointers and group
+    ids, and a deviation-cost column equal to the cost formula
+    evaluated edge by edge on the scalar times over the graph's own
+    fanin lists.  Rows ``D`` and ``D + 1``: see
+    :func:`assert_single_rows_match_standalone`.
     """
     import math
 
@@ -149,6 +184,7 @@ def assert_batched_rows_match_scalar(graph: TimingGraph, mode) -> None:
 
     batch = propagate_dual_batched(graph, mode)
     assert batch.num_levels == graph.clock_tree.num_levels
+    assert_single_rows_match_standalone(graph, batch, mode)
     for level in range(batch.num_levels):
         ref = scalar_level_pass(graph, level, mode)
         if ref is None:

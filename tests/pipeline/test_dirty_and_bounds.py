@@ -334,3 +334,48 @@ class TestBoundsCounters:
         assert profile.counter("pipeline.bounds.full") == 2
         assert profile.counter("pipeline.bounds.pins") == \
             2 * session.graph.num_pins
+
+
+@pytest.mark.skipif(not HAVE_NUMPY, reason="numpy required")
+class TestSweepSingleRows:
+    """The array state's self-loop and primary-input rows come from the
+    batched sweep's rows D and D + 1; they must be what the standalone
+    single-tuple passes build."""
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("seed", [0, 4, 9])
+    def test_rows_equal_standalone_passes(self, seed, mode):
+        from repro.cppr.pi_paths import primary_input_seed_map
+        from repro.cppr.propagation import Seed, propagate_single
+        from repro.cppr.selfloop_paths import self_loop_seed_map
+
+        def bits(column):
+            return [value.hex() for value in column]
+
+        graph, _ = random_small(seed)
+        mode = AnalysisMode.coerce(mode)
+        array = build_mode_state(graph, mode, "array", True, True)
+        scalar = build_mode_state(graph, mode, "scalar", True, True)
+        rows = ((array.self_loop, scalar.self_loop, self_loop_seed_map),
+                (array.primary_input, scalar.primary_input,
+                 primary_input_seed_map))
+        for got, want, seed_map in rows:
+            seeds = seed_map(graph, mode)
+            ref = propagate_single(
+                graph, mode, [Seed(pin, *seed) for pin, seed in seeds.items()],
+                backend="array")
+            # Lists the session may patch in place, not sweep views.
+            for column in (got.time, got.from_pin, got.cost0):
+                assert type(column) is list
+            assert bits(got.time) == bits(ref.time) == bits(want.time)
+            assert got.from_pin == ref.from_pin == want.from_pin
+            assert bits(got.cost0) == bits(ref.fast.cost0)
+            assert got.seeds == want.seeds == seeds
+
+    def test_disabled_families_keep_no_row(self):
+        graph, _ = random_small(2)
+        state = build_mode_state(graph, AnalysisMode.HOLD, "array",
+                                 False, True)
+        assert state.self_loop is None
+        assert state.primary_input is not None
+        assert state.row(len(state.levels)) is None
