@@ -5,6 +5,8 @@ Run from the repository root::
 
     PYTHONPATH=src python benchmarks/fingerprints.py > after.txt
     PYTHONPATH=src python benchmarks/fingerprints.py --mcmm DIR [DIR ...]
+    PYTHONPATH=src python benchmarks/fingerprints.py --designs '' \
+        --eco DIR [DIR ...]
 
 A change that must keep reports bit-identical runs this in two
 checkouts (before and after) and diffs the outputs; any differing line
@@ -20,26 +22,35 @@ flip-flops, its family and its level.  The set covers:
 * for every ``--mcmm`` directory holding ``perfbench/gen.py``'s
   ``mcmm.json`` and ``mcmm.sdf`` (a Yosys netlist and its
   min/typ/max SDF), every corner at k 1/10/50, setup and hold, on the
-  scalar and array backends.
+  scalar and array backends;
+* for every ``--eco`` directory holding ``perfbench/gen.py``'s
+  ``leon2.cppr`` and ``eco-<n>.json``, one incremental session per
+  rounds file on the default backend: top-50 setup and hold when it
+  opens (round 0), then again after each round's update.
 
-Each query runs on an emptied select cache, so every digest comes from
-a full analysis.
+Each engine query runs on an emptied select cache, so every digest of
+the first two sets comes from a full analysis.  The session reads do
+not: they go through the session's caches as a user's reads would,
+which is what their digests pin.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import json
 import sys
 from pathlib import Path
 
-from repro import CpprEngine, CpprOptions, TimingAnalyzer, load_design
+from repro import (CpprEngine, CpprOptions, DelayUpdate, TimingAnalyzer,
+                   load_design)
 from repro.cppr.parallel import available_executors
 from repro.workloads.suite import build_design
 
 MODES = ("setup", "hold")
 SUITE_K = (1, 10, 100, 500)
 MCMM_K = (1, 10, 50)
+ECO_K = 50
 
 
 def digest(paths) -> str:
@@ -84,6 +95,23 @@ def mcmm_lines(directory: Path):
                            "serial", mode, k, digest(paths))
 
 
+def eco_lines(directory: Path):
+    imported = load_design(directory / "leon2.cppr")
+    analyzer = TimingAnalyzer(imported.graph, imported.constraints)
+    for rounds_file in sorted(directory.glob("eco-*.json")):
+        rounds = json.loads(rounds_file.read_text())["rounds"]
+        session = CpprEngine(analyzer).session()
+        label = f"eco:{directory.name}/{rounds_file.stem}"
+        for index in range(len(rounds) + 1):
+            if index:
+                session.update([DelayUpdate(*edit)
+                                for edit in rounds[index - 1]])
+            for mode in MODES:
+                yield (f"{label}#{index}", "-", session.backend,
+                       "serial", mode, ECO_K,
+                       digest(session.top_paths(ECO_K, mode)))
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--designs", default="leon2,vga_lcdv2",
@@ -93,10 +121,15 @@ def main(argv=None) -> int:
     parser.add_argument("--mcmm", type=Path, nargs="*", default=[],
                         metavar="DIR",
                         help="directories holding mcmm.json + mcmm.sdf")
+    parser.add_argument("--eco", type=Path, nargs="*", default=[],
+                        metavar="DIR",
+                        help="directories holding leon2.cppr + "
+                             "eco-<n>.json")
     args = parser.parse_args(argv)
     designs = [name for name in args.designs.split(",") if name]
     sources = [suite_lines(designs, args.scale)]
     sources += [mcmm_lines(directory) for directory in args.mcmm]
+    sources += [eco_lines(directory) for directory in args.eco]
     count = 0
     for source in sources:
         for line in source:

@@ -47,7 +47,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import Protocol
+from typing import NamedTuple, Protocol
 
 from repro.circuit.graph import TimingGraph
 from repro.cppr.tuples import NO_GROUP
@@ -64,12 +64,13 @@ class _ArrivalArrays(Protocol):
              excluded_group: int) -> tuple[float, int, int] | None: ...
 
 
-@dataclass(frozen=True, slots=True)
-class CaptureSeed:
+class CaptureSeed(NamedTuple):
     """The best path into one capture point (Algorithm 5 lines 3-7).
 
     ``group`` is the capture group to exclude (``f_{d+1}`` of the capture
     clock pin) for level passes, or ``NO_GROUP`` for ungrouped families.
+    A tuple, because every query builds one per reached flip-flop and
+    row (a frozen dataclass's ``__init__`` costs twice as much).
     """
 
     slack: float

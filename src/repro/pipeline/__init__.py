@@ -33,9 +33,11 @@ select     families + k               ``basis + (mode, k)``
   After an edit a family is re-served only when that is *provably*
   bit-identical to re-running it (see :mod:`repro.pipeline.bounds`);
   otherwise it re-runs on the maintained propagation state.
-* **select** — Algorithm 6 over the family candidates; its memoized
-  results (the engine's old ``_topk_cache``) live in a small keyed
-  :class:`LruCache`.
+* **select** — Algorithm 6 over the family candidates.  The engine
+  memoizes its answers in a small keyed :class:`LruCache`; a session
+  keeps them in an :class:`ArtifactCache`, and a clock-free update that
+  keeps every family an answer merged restamps that answer
+  (``docs/PROOFS.md`` L8).
 
 :class:`~repro.pipeline.session.CpprSession` (via
 :meth:`repro.cppr.engine.CpprEngine.session`) drives the stages; see

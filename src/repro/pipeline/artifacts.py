@@ -22,7 +22,7 @@ recompute instead of a wrong answer — the property the chaos tests pin.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Any, Callable, Hashable, Iterable
+from typing import Any, Hashable
 
 from repro import faults
 from repro.obs import collector as _obs
@@ -203,19 +203,6 @@ class ArtifactCache:
         """A snapshot of ``(key, basis, value)`` rows (no recency change)."""
         return [(key, entry[0], entry[1])
                 for key, entry in self._lru._entries.items()]
-
-    def purge(self, keep: Callable[[Hashable], bool] | None = None,
-              keys: Iterable[Hashable] | None = None) -> int:
-        """Drop entries: those failing ``keep``, or the given ``keys``."""
-        if keys is None:
-            keys = [key for key, _, _ in self.entries()
-                    if keep is None or not keep(key)]
-        dropped = 0
-        for key in list(keys):
-            if key in self._lru:
-                self._lru.drop(key)
-                dropped += 1
-        return dropped
 
     def clear(self) -> None:
         self._lru.clear()

@@ -25,7 +25,10 @@ queries by redoing only the work the edit invalidated —
   stale cached path would itself cross a run and drag ``sigma`` to or
   below the boundary);
 * the **select** stage re-runs Algorithm 6 over the (partly cached)
-  candidates and memoizes the answer under the current validity basis.
+  candidates and memoizes the answer under the current validity basis;
+  a clock-free update that keeps every family a memoized answer merged
+  restamps that answer instead, since select reads nothing else that
+  such an update can change (``docs/PROOFS.md`` L8).
 
 Every result is bit-for-bit identical to a fresh
 :class:`~repro.cppr.engine.CpprEngine` on the edited design — the
@@ -148,6 +151,9 @@ class CpprSession:
             counter_prefix="pipeline.family")
         self._select = ArtifactCache(capacity=8,
                                      counter_prefix="pipeline.select")
+        #: The basis the update in flight started from (set by
+        #: :meth:`_apply_edits`, which both update paths run).
+        self._start_basis = self._basis
 
     # ------------------------------------------------------------------
     # Internals
@@ -224,6 +230,7 @@ class CpprSession:
         :class:`MultiCornerSession` can apply one edit to every corner
         *before* computing the (shared, topology-only) dirty cone.
         """
+        self._start_basis = self._basis
         roots: set[int] = set()
         dirty_ffs: list[int] = []
 
@@ -278,9 +285,7 @@ class CpprSession:
             roots, run_vals, cone)
         kept, dropped = self._revalidate_families(
             dirty_ffs, run_vals, changed, old_times, cone)
-        self._select.purge(keys=[key for key, basis, _
-                                 in self._select.entries()
-                                 if basis != self._basis])
+        self._settle_select()
         self._invalidate_analyzer()
 
         full_rebuild = cone is None
@@ -474,6 +479,29 @@ class CpprSession:
         _obs.add("pipeline.families.dropped", dropped)
         return kept, dropped
 
+    def _settle_select(self) -> None:
+        """Restamp the select entries this update kept; drop the rest.
+
+        An entry is kept when no clock edit happened, it was recorded
+        under the basis the update started from, and every family it
+        merged now holds the new basis: select then reads the same
+        inputs and returns the same answer (``docs/PROOFS.md`` L8).
+        The output family is never cached, so with output tests on
+        every entry drops.
+        """
+        start, basis = self._start_basis, self._basis
+        current = {key for key, recorded, _ in self._families.entries()
+                   if recorded == basis}
+        tasks = self._tasks()
+        for key, recorded, _value in self._select.entries():
+            if recorded == start and start[0] == basis[0] and all(
+                    self._family_key(task, *key) in current
+                    for task in tasks):
+                self._select.restamp(key, basis)
+                _obs.add("pipeline.select.restamped")
+            else:
+                self._select.drop(key)
+
     def _grouping_backend(self) -> str:
         return "array" if self.backend == "array" else "scalar"
 
@@ -501,10 +529,12 @@ class CpprSession:
 
         Bit-for-bit what ``CpprEngine(TimingAnalyzer(edited_graph,
         constraints)).top_paths(k, mode)`` would return, computed
-        incrementally: families whose cached lists are provably still
-        exact are served from the artifact cache, the rest re-run on
-        the maintained propagation state, and only the final
-        ``selectTopPaths`` reduction always executes.
+        incrementally: a memoized ``(mode, k' >= k)`` answer valid at
+        the current basis is served as a prefix; otherwise families
+        whose cached lists are provably still exact are served from
+        the artifact cache, the rest re-run on the maintained
+        propagation state, and the final ``selectTopPaths`` reduction
+        runs over them.
         """
         if k < 1:
             raise AnalysisError(f"k must be at least 1, got {k}")
@@ -557,8 +587,7 @@ class CpprSession:
             # session state and always re-runs.
             return _run_family(self.analyzer, task, k, mode,
                                heap_capacity, self.backend)
-        level = task[1] if kind == "level" else None
-        key = (kind, mode.value, level, k, heap_capacity)
+        key = self._family_key(task, mode.value, k)
         cached = self._families.get(key, basis)
         if cached is not None:
             return cached
@@ -568,6 +597,10 @@ class CpprSession:
         _obs.add("pipeline.families.rerun")
         self._families.store(key, basis, paths)
         return paths
+
+    def _family_key(self, task: tuple, mode_value: str, k: int) -> tuple:
+        level = task[1] if task[0] == "level" else None
+        return (task[0], mode_value, level, k, self.options.heap_capacity)
 
     # ------------------------------------------------------------------
     # Conveniences mirroring the engine

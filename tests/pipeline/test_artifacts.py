@@ -72,14 +72,6 @@ class TestArtifactCache:
         cache.restamp("absent", (9, 9))   # no-op for unknown keys
         assert cache.get("absent", (9, 9)) is None
 
-    def test_purge_by_keys_and_predicate(self):
-        cache = ArtifactCache(capacity=8, counter_prefix="t")
-        for i in range(4):
-            cache.store(("k", i), (0, 0), i)
-        assert cache.purge(keys=[("k", 0), ("k", 1), ("missing", 9)]) == 2
-        assert cache.purge(keep=lambda key: key[1] == 3) == 1
-        assert [key for key, _b, _v in cache.entries()] == [("k", 3)]
-
 
 class TestStaleArtifactFault:
     """The chaos contract: a missed-invalidation fault at store time is
