@@ -26,12 +26,17 @@ flip-flops, its family and its level.  The set covers:
 * for every ``--eco`` directory holding ``perfbench/gen.py``'s
   ``leon2.cppr`` and ``eco-<n>.json``, one incremental session per
   rounds file on the default backend: top-50 setup and hold when it
-  opens (round 0), then again after each round's update.
+  opens (round 0), then again after each round's update, and after
+  every 10th round ``r`` also top-``(60 + r/10)``.
 
 Each engine query runs on an emptied select cache, so every digest of
 the first two sets comes from a full analysis.  The session reads do
 not: they go through the session's caches as a user's reads would,
-which is what their digests pin.
+which is what their digests pin.  A top-50 read after a round that kept
+every family is served from the session's select cache, so it never
+reads the maintained arrival rows; no earlier read asks for the
+every-10th-round ``k``, so each of those re-runs every family on the
+rows as the session maintains them.
 """
 
 from __future__ import annotations
@@ -106,10 +111,13 @@ def eco_lines(directory: Path):
             if index:
                 session.update([DelayUpdate(*edit)
                                 for edit in rounds[index - 1]])
-            for mode in MODES:
-                yield (f"{label}#{index}", "-", session.backend,
-                       "serial", mode, ECO_K,
-                       digest(session.top_paths(ECO_K, mode)))
+            ks = (ECO_K, 60 + index // 10) if index % 10 == 0 and index \
+                else (ECO_K,)
+            for k in ks:
+                for mode in MODES:
+                    yield (f"{label}#{index}", "-", session.backend,
+                           "serial", mode, k,
+                           digest(session.top_paths(k, mode)))
 
 
 def main(argv=None) -> int:

@@ -13,7 +13,12 @@ queries by redoing only the work the edit invalidated —
   (:func:`repro.pipeline.state.replay` over
   :func:`repro.pipeline.dirty.fanout_cone`), falling back to a full
   rebuild — with :func:`~repro.pipeline.state.diff_states` recovering
-  the change set — when the cone exceeds a quarter of the graph;
+  the change set — when the cone exceeds a quarter of the graph.  A
+  delay-only round whose edited drivers lie outside every pending cone
+  defers its replay: the cone joins a pending region that is replayed
+  once, in topological order, when something reads the rows — a query
+  that re-runs a family, a clock edit, or a later round with an edited
+  driver inside the region (``docs/PROOFS.md`` L9);
 * the **families** stage re-serves a cached candidate family only when
   that is *provably* bit-identical to re-running it: no clock-dirty
   flip-flop participates in it, clock-driven time changes left its
@@ -154,6 +159,11 @@ class CpprSession:
         #: The basis the update in flight started from (set by
         #: :meth:`_apply_edits`, which both update paths run).
         self._start_basis = self._basis
+        #: The pending region: the union of the deferred rounds' dirty
+        #: cones (fanout-closed), and the runs edited since the last
+        #: flush (their cost positions are refreshed at the flush).
+        self._pending: set[int] = set()
+        self._pending_runs: set[tuple[int, int]] = set()
 
     # ------------------------------------------------------------------
     # Internals
@@ -203,8 +213,9 @@ class CpprSession:
         Clock edits are processed first — they re-seed every maintained
         launch map — then delay edits patch the adjacency rows and the
         array core's value columns in place.  The combined dirty cone is
-        replayed once, and every cached family is either revalidated
-        (provably unaffected) or dropped.
+        replayed once, or deferred to the next read that needs it, and
+        every cached family is either revalidated (provably unaffected)
+        or dropped.
 
         Returns a summary dict (``dirty_pins``, ``dirty_fraction``,
         ``families_kept`` / ``families_dropped``, ``full_rebuild``).
@@ -231,6 +242,12 @@ class CpprSession:
         *before* computing the (shared, topology-only) dirty cone.
         """
         self._start_basis = self._basis
+        # Every edit's pins are resolved before anything moves: an edited
+        # driver inside the pending region needs its exact arrivals, so
+        # the region is flushed first, at the pre-edit delays.
+        resolved = resolve_delay_updates(self.graph, delays)
+        if clock or any(u in self._pending for u, *_rest in resolved):
+            self._flush()
         roots: set[int] = set()
         dirty_ffs: list[int] = []
 
@@ -246,23 +263,22 @@ class CpprSession:
             for index in dirty_ffs:
                 roots.add(self.graph.ffs[index].q_pin)
 
-        # Delay edits apply one at a time so each resolves against
-        # the rows as the previous edit left them (repeat edits of
-        # one edge, parallel-edge runs).  run_vals accumulates every
-        # (early, late) value each touched run held at any point —
-        # the pessimization domain of the sigma bounds.
+        # Delay edits apply one at a time, and each patch returns the
+        # pair its entry held as the previous edit left it (repeat
+        # edits of one edge, parallel-edge runs).  run_vals accumulates
+        # every (early, late) value each touched run held at any point
+        # — the pessimization domain of the sigma bounds.
         run_vals: dict[tuple[int, int], set] = {}
-        for update in delays:
-            resolved = resolve_delay_updates(self.graph, [update])
-            u, v, _old_e, _old_l, new_e, new_l = resolved[0]
+        for u, v, _e, _l, new_e, new_l in resolved:
             key = (u, v)
             if key not in run_vals:
                 run_vals[key] = {(e, l) for t, e, l
                                  in self.graph.fanout[u] if t == v}
             run_vals[key].add((new_e, new_l))
-            self._patch_rows(resolved[0])
+            old_e, old_l = self._patch_rows(u, v, new_e, new_l)
             if self._core is not None:
-                self._core.apply_value_updates(resolved)
+                self._core.apply_value_updates(
+                    [(u, v, old_e, old_l, new_e, new_l)])
             roots.add(v)
         if delays:
             self.values_version += 1
@@ -301,46 +317,53 @@ class CpprSession:
             summary["trace_id"] = col.trace_id
         return summary
 
-    def _patch_rows(self, resolved: tuple) -> None:
+    def _patch_rows(self, u: int, v: int, new_e: float,
+                    new_l: float) -> tuple[float, float]:
         """Rewrite one edge's entry in the session's private rows.
 
         The first ``u -> v`` entry of ``fanout[u]`` and the first
         source-``u`` entry of ``fanin[v]`` are the same edge (the
         invariant :func:`repro.sta.incremental._patch_rows` documents);
         the session's rows are private copies, so they mutate in place.
+        Returns the ``(early, late)`` pair the entry held.
         """
-        u, v, _old_e, _old_l, new_e, new_l = resolved
         row = self.graph.fanout[u]
-        for index, (target, _e, _l) in enumerate(row):
+        for index, (target, early, late) in enumerate(row):
             if target == v:
                 row[index] = (v, new_e, new_l)
+                old = (early, late)
                 break
         row = self.graph.fanin[v]
         for index, (source, _e, _l) in enumerate(row):
             if source == u:
                 row[index] = (u, new_e, new_l)
                 break
+        return old
 
     def _refresh_states(self, roots: set[int], run_vals: dict,
                         cone=_UNSET) -> tuple[dict, dict, list | None,
                                               int]:
-        """Replay (or rebuild) every built mode state over the edit.
+        """Replay, defer or rebuild every built mode state over the edit.
 
         ``cone`` is normally computed here; a multi-corner update
         injects its shared union cone instead (``None`` = full
-        rebuild).  Returns per-mode changed-pin rows, per-mode old
-        primary times, the replayed cone (``None`` after the
-        full-rebuild fallback, empty when no mode state is built yet
-        and nothing replays) and the dirty pin count.
+        rebuild).  A delay-only round whose edited drivers lie outside
+        the cone, and whose cone keeps the pending region within the
+        cap, joins the region unreplayed (``docs/PROOFS.md`` L9);
+        otherwise the region and the cone replay now.  Returns per-mode
+        changed-pin rows (empty when deferred), per-mode old primary
+        times, the round's cone (``None`` after the full-rebuild
+        fallback, empty when no mode state is built yet and nothing
+        replays) and the dirty pin count.
         """
         changed: dict[AnalysisMode, list[set[int]]] = {}
         old_times: dict[AnalysisMode, list[dict[int, float]]] = {}
         if not self._states:
             return changed, old_times, [], len(roots)
 
+        cap = max(64, int(FULL_SWEEP_FRACTION * self.graph.num_pins))
         if cone is _UNSET:
             positions = self._topo_positions()
-            cap = max(64, int(FULL_SWEEP_FRACTION * self.graph.num_pins))
             with _obs.span("pipeline.dirty_cone"):
                 cone = fanout_cone(self.graph, roots, positions, cap)
 
@@ -355,15 +378,49 @@ class CpprSession:
                     changed[mode], old_times[mode] = diff_states(state,
                                                                  fresh)
                     self._states[mode] = fresh
+            self._pending, self._pending_runs = set(), set()
             return changed, old_times, None, self.graph.num_pins
 
         _obs.add("pipeline.dirty_pins", len(cone))
         _DIRTY_PINS.labels(corner=self.corner).observe(len(cone))
+        self._pending_runs.update(run_vals)
+        pending, cone_pins = self._pending, set(cone)
+        if (self.tree_epoch == self._start_basis[0]
+                and not any(u in cone_pins for u, _v in run_vals)
+                and len(pending) + len(cone_pins - pending) <= cap):
+            # Nothing reads these rows before the next flush, and the
+            # sigma bound reads them only at the edited drivers, which
+            # hold the same value at both bases.
+            pending |= cone_pins
+            _obs.add("pipeline.replay.deferred")
+            for mode, state in self._states.items():
+                old_times[mode] = [{}] * state.num_rows
+            return changed, old_times, cone, len(cone)
+        changed, old_times = self._flush(pending | cone_pins)
+        return changed, old_times, cone, len(cone)
+
+    def _flush(self, region: set[int] | None = None
+               ) -> tuple[dict, dict]:
+        """Replay the pending region (or ``region``, a superset of it).
+
+        Every built mode state is replayed in topological order, and
+        its cost columns are refreshed around the changed pins and at
+        every run edited since the last flush.  The pending region
+        clears only once both are done.  Returns the per-mode changed
+        rows and old primary times.
+        """
+        region = self._pending if region is None else region
+        changed: dict[AnalysisMode, list[set[int]]] = {}
+        old_times: dict[AnalysisMode, list[dict[int, float]]] = {}
+        if not region:
+            return changed, old_times
+        cone = sorted(region, key=self._topo_positions().__getitem__)
         edited_positions: list[int] = []
         if self._core is not None:
-            for u, v in run_vals:
+            for u, v in self._pending_runs:
                 lo, hi = self._core.structure.fanin_run(u, v)
                 edited_positions.extend(range(lo, hi))
+        _obs.add("pipeline.replay.flushed")
         with _obs.span("pipeline.replay"):
             for mode, state in self._states.items():
                 changed[mode], old_times[mode] = replay(state, self.graph,
@@ -371,7 +428,8 @@ class CpprSession:
                 if self._core is not None:
                     refresh_costs(state, self._core, changed[mode],
                                   edited_positions)
-        return changed, old_times, cone, len(cone)
+        self._pending, self._pending_runs = set(), set()
+        return changed, old_times
 
     # ------------------------------------------------------------------
     # Family revalidation (the serve-or-drop decision)
@@ -381,17 +439,20 @@ class CpprSession:
                              cone: list[int] | None) -> tuple[int, int]:
         """Restamp provably-unaffected cached families; drop the rest.
 
-        ``cone`` is the replayed dirty cone (``None`` after a full
-        rebuild): it holds every edited sink and is fanout-closed, so
-        the sigma sweep runs over it instead of the whole graph.  It is
-        empty only when no mode state is built, and then every family
-        drops before any sweep.
+        Only a family recorded under the basis the update started from
+        can be restamped; any other entry is detected as stale and
+        dropped.  ``cone`` is the round's dirty cone (``None`` after a
+        full rebuild): it holds every edited sink and is fanout-closed,
+        so the sigma sweep runs over it instead of the whole graph.  It
+        is empty only when no mode state is built, and then every
+        family drops before any sweep.
         """
         entries = self._families.entries()
         if not entries:
             return 0, 0
         from repro.cppr.grouping import group_for_level
 
+        start = self._start_basis
         tree = self.graph.clock_tree
         num_levels = tree.num_levels
         num_ffs = self.graph.num_ffs
@@ -399,7 +460,14 @@ class CpprSession:
         dropped = 0
         need_sigma: dict[AnalysisMode, set[int]] = {}
 
-        for key, _basis, value in entries:
+        for key, recorded, value in entries:
+            if recorded != start:
+                # Stored poisoned (a missed invalidation): the serve
+                # rule proves nothing about it.  The lookup counts the
+                # detection and drops the entry.
+                self._families.get(key, start)
+                dropped += 1
+                continue
             kind, mode_value, level = key[0], key[1], key[2]
             mode = AnalysisMode(mode_value)
             state = self._states.get(mode)
@@ -544,6 +612,7 @@ class CpprSession:
             served = self._serve_select(mode, k, basis)
             if served is not None:
                 return served
+            self._flush()
             state = self._state(mode)
             batch = SessionBatch(state, self.graph, self._core,
                                  self.backend)

@@ -281,6 +281,32 @@ class TestStaleSelect:
         assert got == _fresh(graph, constraints, options, [[edit]], 6,
                              "setup")
 
+    def test_family_under_another_basis_is_detected(self):
+        """A family stored poisoned is detected and dropped by the next
+        round, even one that keeps every family, and the read re-runs
+        it instead of serving it."""
+        graph, constraints = random_small(23)
+        options = CpprOptions(backend="scalar")
+        engine = CpprEngine(TimingAnalyzer(graph, constraints), options)
+        reads = [(6, "setup")]
+        edit = _find_edit(engine, reads, _shrink, _keeps_all)
+        session = engine.session()
+        # The first family the read stores is poisoned.
+        with faults.inject("pipeline.stale_artifact:times=1"):
+            session.top_paths(6, "setup")
+        assert sum(recorded != session.basis() for _key, recorded, _value
+                   in session._families.entries()) == 1
+        with collecting() as col:
+            summary = session.update(delays=[edit])
+            got = fingerprint(session.top_paths(6, "setup"))
+        profile = col.profile()
+        assert summary["families_dropped"] == 1
+        assert profile.counter("pipeline.family.stale.detected") == 1
+        assert session._families.stale_detected == 1
+        assert profile.counter("pipeline.families.rerun") == 1
+        assert got == _fresh(graph, constraints, options, [[edit]], 6,
+                             "setup")
+
 
 class TestMultiCorner:
     def test_only_the_keeping_corner_restamps(self):
